@@ -774,18 +774,19 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
                        for r in range(config.replications)]
             for r, fut in enumerate(futures):
                 records.append(_guard_future(fut, config, r))
-    wall = time.perf_counter() - start
 
     indices = aggregate_replications(
         [rec["families"] for rec in records],
         [rec["p_f_hat"] for rec in records],
         config.input_names, config.n_draws,
         dependent_inputs=config.input_model.dependence != "independent")
+    references = _reference_table(config) if with_references else None
+    wall = time.perf_counter() - start
     return CampaignReport(
         config_echo=config.raw,
         version=__version__,
         indices=indices,
-        references=_reference_table(config) if with_references else None,
+        references=references,
         per_replication=tuple(records),
         p_f_per_replication=tuple(rec["p_f_hat"] for rec in records),
         n_levels_per_replication=tuple(rec["n_levels"] for rec in records),

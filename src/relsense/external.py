@@ -36,8 +36,7 @@ class ExternalBlackBox(BlackBox):
                 text=True, bufsize=1)
         except OSError as exc:
             raise EvaluationError(f"could not start external model {argv!r}: {exc}") from exc
-        super().__init__(fn=self._query, dimension=dimension,
-                         name=" ".join(argv), thread_safe=False)
+        super().__init__(fn=self._query, dimension=dimension, name=" ".join(argv))
 
     def _query(self, x: np.ndarray) -> float:
         line = " ".join(format(v, ".17g") for v in x)

@@ -49,7 +49,6 @@ __all__ = [
     "fit_density",
     "fit_copula",
     "dual_objective",
-    "density_eval",
     "MARGINAL_LADDER",
     "COPULA_LADDER",
 ]
@@ -605,8 +604,3 @@ def fit_copula(sample_xy, exponents=None) -> MaxEntCopula:
         return copula, _bic(cons, copula), cons.sample_size * drift
 
     return _select(COPULA_LADDER, fit)
-
-
-def density_eval(density, point):
-    """Evaluate a fitted density at one point or an array of points."""
-    return density.pdf(point)

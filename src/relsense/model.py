@@ -10,13 +10,12 @@ provides the three ingredients: the input law (:class:`Marginal`,
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import ndtr, ndtri
 
 __all__ = [
     "EvaluationError",
@@ -35,6 +34,22 @@ class EvaluationError(RuntimeError):
     """A black-box evaluation could not produce a finite scalar."""
 
 
+# scipy's constants for the standard normal density, reused so that the
+# closed forms below round exactly as scipy.stats does.
+_SQRT_2PI = np.sqrt(2 * np.pi)
+_LOG_SQRT_2PI = np.log(2 * np.pi) / 2.0
+
+
+def _lognormal_logpdf(y, s):
+    """Log density of the standard lognormal of log-sd ``s`` at ``y > 0``."""
+    return -np.log(y) ** 2 / (2 * (s * s)) - np.log(s * y * _SQRT_2PI)
+
+
+def _nan_where(x, out):
+    """NaN wherever ``x`` is NaN (the mask comparisons alone give 0 or -inf)."""
+    return np.where(np.isnan(x), np.nan, out)
+
+
 @dataclass(frozen=True)
 class Marginal:
     """One-dimensional input distribution.
@@ -48,6 +63,30 @@ class Marginal:
         underlying normal, i.e. ``log X ~ N(loc, scale**2)``.
     ``uniform``
         ``loc`` is the lower edge, ``scale`` the width.
+
+    The densities are closed forms on numpy arrays.  Each kind is a
+    standard form in ``z = (x - a) / b``: ``a, b = loc, scale`` for the
+    normal and the uniform, ``a, b = 0, exp(loc)`` for the lognormal.
+
+    ``normal``
+        ``log f = -z**2/2 - log(2 pi)/2 - log b``; ``F = ndtr(z)``;
+        ``F^-1(u) = ndtri(u) b + a``.
+    ``lognormal``
+        ``log f = -log(z)**2 / (2 s**2) - log(s z sqrt(2 pi)) - log b``
+        with ``s = scale``; ``F = ndtr(log(z) / s)``;
+        ``F^-1(u) = exp(s ndtri(u)) b``.
+    ``uniform``
+        ``log f = -log b``; ``F = clip(z, 0, 1)``; ``F^-1(u) = u b + a``.
+
+    Support and edge conventions are scipy.stats' to the last bit, and
+    the random-walk kernel relies on them (an off-support candidate has
+    ``logpdf = -inf`` and costs no model call): the lognormal support is
+    ``x > 0``, so ``logpdf`` is ``-inf`` at ``x <= 0``; the uniform support
+    is the closed interval ``0 <= z <= 1``; ``quantile`` is ``nan`` outside
+    ``[0, 1]`` and gives the support ends, ``-inf``/``inf`` (``0`` for the
+    lognormal, ``loc``/``loc + scale`` for the uniform), at ``u = 0, 1``;
+    NaN in gives NaN out.  ``mean()`` and ``sd()`` follow scipy's order of
+    operations, so random-walk steps seeded from them match scipy's.
     """
 
     kind: str
@@ -62,24 +101,60 @@ class Marginal:
         if self.scale <= 0:
             raise ValueError(f"marginal scale must be strictly positive, got {self.scale}")
 
-    def _frozen(self):
-        if self.kind == "normal":
-            return stats.norm(self.loc, self.scale)
+    def _affine(self) -> tuple[float, float]:
+        """``(a, b)`` with ``x = a + b * z`` for the standard form ``z``."""
         if self.kind == "lognormal":
-            return stats.lognorm(s=self.scale, scale=math.exp(self.loc))
-        return stats.uniform(self.loc, self.scale)
+            return 0.0, math.exp(self.loc)
+        return self.loc, self.scale
 
-    def pdf(self, x):
-        return self._frozen().pdf(x)
+    def _standard(self, x):
+        a, b = self._affine()
+        return (np.asarray(x, dtype=float) - a) / b, b
+
+    # Each method ends in ``[()]``: a 0-d result becomes a numpy scalar,
+    # as from scipy, and an array is returned as it is.
 
     def logpdf(self, x):
-        return self._frozen().logpdf(x)
+        z, b = self._standard(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == "normal":
+                out = -z ** 2 / 2.0 - _LOG_SQRT_2PI
+            elif self.kind == "lognormal":
+                out = np.where(z <= 0.0, -np.inf, _lognormal_logpdf(z, self.scale))
+            else:
+                out = _nan_where(z, np.where((z >= 0.0) & (z <= 1.0), 0.0, -np.inf))
+            return (out - np.log(b))[()]
+
+    def pdf(self, x):
+        z, b = self._standard(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == "normal":
+                out = np.exp(-z ** 2 / 2.0) / _SQRT_2PI
+            elif self.kind == "lognormal":
+                out = np.where(z <= 0.0, 0.0, np.exp(_lognormal_logpdf(z, self.scale)))
+            else:
+                out = _nan_where(z, np.where((z >= 0.0) & (z <= 1.0), 1.0, 0.0))
+            return (out / b)[()]
 
     def cdf(self, x):
-        return self._frozen().cdf(x)
+        z, _ = self._standard(x)
+        if self.kind == "normal":
+            return ndtr(z)[()]
+        if self.kind == "lognormal":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(z <= 0.0, 0.0, ndtr(np.log(z) / self.scale))[()]
+        return np.clip(z, 0.0, 1.0)[()]
 
     def quantile(self, u):
-        return self._frozen().ppf(u)
+        u = np.asarray(u, dtype=float)
+        a, b = self._affine()
+        if self.kind == "normal":
+            z = ndtri(u)
+        elif self.kind == "lognormal":
+            z = np.exp(self.scale * ndtri(u))
+        else:
+            z = np.where((u >= 0.0) & (u <= 1.0), u, np.nan)
+        return (z * b + a)[()]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "normal":
@@ -88,12 +163,24 @@ class Marginal:
             return np.exp(self.loc + self.scale * rng.standard_normal(n))
         return self.loc + self.scale * rng.random(n)
 
+    def _moments(self):
+        """Mean and variance: the standard form's, mapped by ``a + b * z``."""
+        if self.kind == "normal":
+            mu, mu2 = 0.0, 1.0
+        elif self.kind == "lognormal":
+            p = np.exp(self.scale * self.scale)
+            mu, mu2 = np.sqrt(p), p * (p - 1)
+        else:
+            mu, mu2 = 0.5, 1.0 / 12
+        a, b = self._affine()
+        return mu * b + a, mu2 * b * b
+
     def mean(self) -> float:
-        return float(self._frozen().mean())
+        return float(self._moments()[0])
 
     def sd(self) -> float:
         """Standard deviation of the variable itself (not of log X)."""
-        return float(self._frozen().std())
+        return float(np.sqrt(self._moments()[1]))
 
 
 @dataclass(frozen=True)
@@ -172,7 +259,7 @@ class InputModel:
             scales = np.array([m.scale for m in self.marginals])
             locs = np.array([m.loc for m in self.marginals])
             return locs + scales * z
-        u = stats.norm.cdf(z)
+        u = ndtr(z)
         cols = [m.quantile(u[:, i]) for i, m in enumerate(self.marginals)]
         return np.column_stack(cols)
 
@@ -186,7 +273,7 @@ class InputModel:
                 inside = np.isfinite(out)
                 z = np.empty_like(x)
                 for i, m in enumerate(self.marginals):
-                    z[:, i] = stats.norm.ppf(np.clip(m.cdf(x[:, i]), 1e-300, 1.0 - 1e-16))
+                    z[:, i] = ndtri(np.clip(m.cdf(x[:, i]), 1e-300, 1.0 - 1e-16))
                 chol = self._correlation_chol
                 zin = z[inside]
                 y = solve_triangular(chol, zin.T, lower=True).T
@@ -222,29 +309,23 @@ class BlackBox:
     """
 
     def __init__(self, fn: Callable, dimension: int, name: str = "",
-                 thread_safe: bool = False, batch_fn: Callable | None = None):
+                 batch_fn: Callable | None = None):
         self._fn = fn
         self._batch_fn = batch_fn
         self.dimension = int(dimension)
         self.name = name
-        self.thread_safe = bool(thread_safe)
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def call_count(self) -> int:
         return self._count
-
-    def _bump(self, k: int):
-        with self._lock:
-            self._count += k
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape[0] != self.dimension:
             raise ValueError(f"expected {self.dimension} inputs, got {x.shape[0]}")
         y = float(self._fn(x))
-        self._bump(1)
+        self._count += 1
         if not math.isfinite(y):
             raise EvaluationError(f"non-finite output {y!r} from model {self.name!r} at input {x.tolist()}")
         return y
@@ -256,12 +337,12 @@ class BlackBox:
         if self._batch_fn is not None:
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 y = np.asarray(self._batch_fn(x), dtype=float).reshape(-1)
-            self._bump(x.shape[0])
+            self._count += x.shape[0]
         else:
             y = np.empty(x.shape[0])
             for i in range(x.shape[0]):
                 yi = float(self._fn(x[i]))
-                self._bump(1)
+                self._count += 1
                 y[i] = yi
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
@@ -327,5 +408,5 @@ def builtin_model(name: str) -> tuple[BlackBox, InputModel, FailureEvent]:
         raise ValueError(f"unknown builtin model {name!r}, expected one of {sorted(_BUILTINS)}")
     batch_fn, marginals, threshold, dependence = _BUILTINS[name]
     box = BlackBox(fn=lambda x: batch_fn(x.reshape(1, -1))[0], dimension=len(marginals),
-                   name=name, thread_safe=True, batch_fn=batch_fn)
+                   name=name, batch_fn=batch_fn)
     return box, InputModel(marginals, dependence), FailureEvent(threshold)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 
 import numpy as np
 import pytest
@@ -338,6 +339,27 @@ class TestRunCampaign:
         small_toy1_config["event"] = {"threshold": 2.5}
         report = run_campaign(parse_config(small_toy1_config))
         assert report.references is None
+
+    def test_wall_clock_covers_reference_table(self, small_toy1_config, toy1_refs,
+                                              monkeypatch):
+        from relsense import campaign, oracle
+
+        finished = []
+
+        def slow_references(refine=1):
+            time.sleep(0.2)
+            finished.append(time.perf_counter())
+            return list(toy1_refs.values())
+
+        monkeypatch.setattr(oracle, "toy1_references", slow_references)
+        monkeypatch.setattr(campaign, "_REFERENCE_CACHE", {})
+        config = parse_config(small_toy1_config)
+        before = time.perf_counter()
+        report = run_campaign(config)
+        assert finished
+        assert report.wall_clock_seconds >= 0.2
+        # the clock stops after the table is built, not before it starts
+        assert report.wall_clock_seconds >= finished[0] - before - 0.05
 
     def test_references_can_be_disabled(self, small_toy1_config):
         report = run_campaign(parse_config(small_toy1_config),

@@ -15,7 +15,6 @@ from relsense.maxent import (
     MaxEntDensity,
     MomentConstraints,
     copula_fractional_moments,
-    density_eval,
     dual_objective,
     fit_copula,
     fit_density,
@@ -341,9 +340,3 @@ class TestRecords:
             MaxEntCopula.from_record({"kind": "density_1d"})
         with pytest.raises(ValueError, match="not a 1-D density record"):
             MaxEntDensity.from_record({"kind": "copula_2d"})
-
-    def test_density_eval_dispatches(self):
-        rng = np.random.default_rng(18)
-        density = solve_maxent(fractional_moments_1d(rng.chisquare(3, 400) + 1.0))
-        x = np.linspace(*density.support, 7)
-        np.testing.assert_array_equal(density_eval(density, x), density.pdf(x))

@@ -88,7 +88,75 @@ class TestSampling:
         assert np.all(x > 0.0)
 
 
+def scipy_marginal(m):
+    """The scipy.stats distribution a Marginal stands for (the reference)."""
+    if m.kind == "normal":
+        return stats.norm(m.loc, m.scale)
+    if m.kind == "lognormal":
+        return stats.lognorm(s=m.scale, scale=math.exp(m.loc))
+    return stats.uniform(m.loc, m.scale)
+
+
+PARITY_MARGINALS = [Marginal("normal", 0.3, 1.7), Marginal("lognormal", 1.0, 0.2),
+                    Marginal("uniform", -1.0, 3.0)]
+
+
+def parity_points(m):
+    """Deep tails (|z| up to 30), off-support points, the edges, +-inf, NaN."""
+    z = np.linspace(-30.0, 30.0, 241)
+    if m.kind == "normal":
+        x = m.loc + m.scale * z
+    elif m.kind == "lognormal":
+        x = np.concatenate([np.exp(m.loc + m.scale * z), [0.0, -0.0, -1e-300, -2.5, 5e-324]])
+    else:
+        lo, hi = m.loc, m.loc + m.scale
+        x = np.concatenate([m.loc + m.scale * np.linspace(-1.0, 2.0, 61),
+                            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]])
+    return np.concatenate([x, [-np.inf, np.inf, np.nan]])
+
+
+def assert_scipy_parity(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
+
+
 class TestMarginal:
+    @pytest.mark.parametrize("m", PARITY_MARGINALS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("method", ["logpdf", "pdf", "cdf"])
+    def test_density_and_cdf_match_scipy(self, m, method):
+        x = parity_points(m)
+        with np.errstate(divide="ignore"):
+            want = getattr(scipy_marginal(m), method)(x)
+        assert_scipy_parity(getattr(m, method)(x), want)
+
+    @pytest.mark.parametrize("m", PARITY_MARGINALS, ids=lambda m: m.kind)
+    def test_quantile_matches_scipy(self, m):
+        u = np.concatenate([[0.0, 1.0, -0.1, 1.1, np.nan, 5e-324, 1e-300, 1.0 - 1e-16],
+                            np.linspace(0.01, 0.99, 99)])
+        assert_scipy_parity(m.quantile(u), scipy_marginal(m).ppf(u))
+
+    @pytest.mark.parametrize("m", PARITY_MARGINALS, ids=lambda m: m.kind)
+    def test_scalar_in_scalar_out(self, m):
+        x = m.quantile(0.3)
+        assert np.ndim(m.logpdf(x)) == np.ndim(m.pdf(x)) == np.ndim(m.cdf(x)) == 0
+        assert m.cdf(x) == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        *(mg for name in ("toy1", "additive_chi2", "sdof_oscillator")
+          for mg in builtin_model(name)[1].marginals),
+        Marginal("lognormal", -0.37, 0.61), Marginal("lognormal", 3.3, 1.3),
+        Marginal("normal", -2.2, 0.013), Marginal("uniform", 0.7, 5.9),
+    ], ids=repr)
+    def test_moments_equal_scipy(self, m):
+        # the random-walk steps start from sd(); scipy's values bit for bit
+        # keep the sampler's trajectories unchanged
+        ref = scipy_marginal(m)
+        assert m.mean() == float(ref.mean())
+        assert m.sd() == float(ref.std())
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="unknown marginal kind"):
             Marginal("beta", 0.0, 1.0)

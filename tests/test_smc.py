@@ -321,3 +321,45 @@ class TestKernelAdaptation:
         assert factor > 1.0
         assert wider.step_sds[1] == pytest.approx(2.0 * factor)
         assert all(s < t for s, t in zip(adapt_kernel(kernel, 0.0).step_sds, (1.0, 2.0)))
+
+
+# One oscillator run with the random-walk kernel, recorded with the
+# scipy.stats frozen-distribution densities that the closed forms in
+# relsense.model replaced; every acceptance decision depends on the input
+# log density, so a change of one ulp in it can move the whole ladder.
+GOLDEN_OSCILLATOR_LEVELS = (
+    -5.047102333870938, -4.865171360872072, -4.625182662698482, -4.517363018944642,
+    -4.349712822105641, -4.221765853206785, -4.112230950006212, -3.9977467187911113,
+    -3.9144232468900824, -3.806326701087931, -3.7266970749900823, -3.663344917763294,
+    -3.596849516236663, -3.5208816635954063, -3.4390695218830434, -3.3628083812442977,
+    -3.2871444710174003, -3.2190568739024146, -3.1373788388637593, -3.056313069076363,
+    -2.9917881005413296, -2.928354633538691, -2.861034612030127, -2.79857540625388,
+    -2.7393032379727074, -2.691789935917101, -2.6250369611253666, -2.563802792337332,
+    -2.503648528007325, -2.443679172008685, -2.3669918903648117, -2.294030722701677,
+    -2.2399200957009726, -2.2014784198349764, -2.146554489727946, -2.0887252783705086,
+    -2.051561796997502, -1.9918937223555604, -1.9158597651739613, -1.865793515710878,
+    -1.8173956662230264, -1.7465205428138066, -1.6884838503451505, -1.6296735767143322,
+    -1.588917899464986, -1.5363460889605478, -1.4874499211878502, -1.427308795742594,
+    -1.3854236893533844, -1.3167467153088483, -1.2535702306794168, -1.212117716066155,
+    -1.157611514249926, -1.093761185724703, -1.0382255117867802, -0.9879678717459095,
+    -0.9292349462086786, -0.8607464046255697, -0.8088586367793145, -0.7427554431152799,
+    -0.6834007376896132, -0.6382158373588886, -0.57611317010518, -0.515259659116702,
+    -0.461284193567316, -0.3851962305572938, -0.3256452812442312, -0.25729444023451453,
+    -0.21079556406094824, -0.17158977576909606, -0.11208588155378685,
+    -0.038823176502563506, 0.02992159314228715,
+)
+
+
+class TestGoldenTrajectory:
+    @pytest.mark.filterwarnings("ignore:.*acceptance rates outside")
+    def test_oscillator_random_walk_is_pinned(self):
+        box, model, event = builtin_model("sdof_oscillator")
+        params = SmcParams(n_particles=100, rho=0.5, mutation_steps=3,
+                           final_sample_size=100, final_mh_steps=2,
+                           kernel=GaussianRandomWalkKernel.matching_input_sds(model),
+                           max_levels=200, seed=11)
+        result = run_adaptive_smc(box, model, event, params)
+        assert result.p_f_hat == 8.956666036443289e-23
+        assert result.levels == GOLDEN_OSCILLATOR_LEVELS
+        assert result.calls_probability_phase == 21699
+        assert result.calls_sampling_phase == 200
