@@ -37,20 +37,23 @@ the defaults shown)::
         "support_margin": 0.0
       },
       "indices": {                                 # optional
-        "n_draws": 100000,
-        "eta_method": "quadrature",                # or "monte_carlo"
         "divergence": "total_variation"            # or "kullback_leibler"
       },
       "replications": 100,
       "seed": 0
     }
 
+Any key the grammar does not name is a finding, and so are the retired
+``indices.n_draws`` and ``indices.eta_method``: every index is
+integrated on the fitted densities' quadrature grids, so there are no
+index draws to size and no second method to choose.
+
 Replication ``r`` draws its splitting seed from the stream keyed
-``(REPLICATION, r)`` under the master seed and its Monte Carlo index
-draws from streams keyed ``(1, r, input, family)``; both are
-counter-based, so raising the replication count later leaves earlier
-replications bitwise unchanged, and running with ``jobs > 1`` returns
-exactly the sequential result.
+``(REPLICATION, r)`` under the master seed; the indices are deterministic
+functions of the conditioned sample.  The stream is counter-based, so
+raising the replication count later leaves earlier replications bitwise
+unchanged, and running with ``jobs > 1`` returns exactly the sequential
+result.
 """
 
 from __future__ import annotations
@@ -70,10 +73,10 @@ from .external import external_blackbox
 from .indices import (DivergenceSpec, IndexReport, aggregate_replications,
                       clip_unit, csiszar_marginal_index, delta_index,
                       rank_descending, scaled_target_index,
-                      sobol_indicator_index, target_tv_index)
+                      sobol_indicator_index)
 from .maxent import SUPPORT_MARGIN, fit_copula, fit_density
 from .model import (BlackBox, FailureEvent, InputModel, Marginal, builtin_model)
-from .seeding import REPLICATION, seed_sequence, stream
+from .seeding import REPLICATION, seed_sequence
 from .smc import (CrankNicolsonKernel, GaussianRandomWalkKernel, SmcParams,
                   run_adaptive_smc)
 
@@ -86,17 +89,19 @@ __all__ = [
 # Families reported by every campaign, in table and CSV order.
 FAMILY_ORDER = ("delta_f", "eta_bar", "eta", "sobol_indicator")
 
-# Stream ids under the master seed (REPLICATION = 0 lives in seeding).
-_INDEX_DRAWS = 1
-
-# Family slots inside the per-replication index-draw key.
-_FAMILY_STREAM = {"delta_f": 0, "eta_bar": 1}
-
 _BUILTIN_NAMES = ("toy1", "additive_chi2", "sdof_oscillator")
 
 _DIVERGENCES = {
     "total_variation": DivergenceSpec.total_variation,
     "kullback_leibler": DivergenceSpec.kullback_leibler,
+}
+
+_RETIRED_INDEX_KEYS = {
+    "n_draws": "indices.n_draws is retired: every index is integrated on the "
+               "fitted densities' quadrature grids, so there are no Monte Carlo "
+               "draws to size",
+    "eta_method": "indices.eta_method is retired: eta_bar is integrated on the "
+                  "fitted density's quadrature grid for every divergence",
 }
 
 
@@ -133,8 +138,6 @@ class CampaignConfig:
     marginal_exponents: tuple[float, ...] | None
     copula_exponents: tuple[float, ...] | None
     support_margin: float
-    n_draws: int
-    eta_method: str
     divergence: str
     replications: int
     master_seed: int
@@ -159,6 +162,11 @@ def _get_section(raw, name, findings, required=True):
         findings.append(f"{name} must be an object")
         return None
     return sec
+
+
+def _check_keys(sec, path, known, findings):
+    """A finding for every key of ``sec`` that no parser reads."""
+    findings.extend(f"unknown key {key!r} in {path}" for key in sec if key not in known)
 
 
 def _get_number(sec, path, findings, *, required=True, default=None,
@@ -194,12 +202,15 @@ def _parse_marginal(entry, path, findings):
         return None
     kind = entry.get("kind")
     if kind == "normal":
+        _check_keys(entry, path, ("kind", "mean", "sd"), findings)
         loc = _get_number(entry, f"{path}.mean", findings)
         scale = _get_number(entry, f"{path}.sd", findings, minimum=0.0, strict_min=True)
     elif kind == "lognormal":
+        _check_keys(entry, path, ("kind", "log_mean", "log_sd"), findings)
         loc = _get_number(entry, f"{path}.log_mean", findings)
         scale = _get_number(entry, f"{path}.log_sd", findings, minimum=0.0, strict_min=True)
     elif kind == "uniform":
+        _check_keys(entry, path, ("kind", "low", "high"), findings)
         lo = _get_number(entry, f"{path}.low", findings)
         hi = _get_number(entry, f"{path}.high", findings)
         if lo is None or hi is None:
@@ -231,6 +242,7 @@ def _parse_inputs(raw, builtin_inputs, findings):
     if not isinstance(sec, dict):
         findings.append("inputs must be an object")
         return None, None
+    _check_keys(sec, "inputs", ("marginals", "dependence", "names"), findings)
     entries = sec.get("marginals")
     if not isinstance(entries, list) or not entries:
         findings.append("inputs.marginals must be a non-empty list")
@@ -259,6 +271,7 @@ def _parse_inputs(raw, builtin_inputs, findings):
                             f"object, got {dep!r}")
             return None, names
     elif isinstance(dep, dict):
+        _check_keys(dep, "inputs.dependence", ("type", "covariance"), findings)
         if dep.get("type") != "gaussian":
             findings.append("inputs.dependence.type must be 'gaussian'")
             return None, names
@@ -281,6 +294,7 @@ def _parse_model(raw, findings):
     sec = _get_section(raw, "model", findings)
     if sec is None:
         return None, None, None
+    _check_keys(sec, "model", ("builtin", "command", "dimension"), findings)
     builtin, command = sec.get("builtin"), sec.get("command")
     if (builtin is None) == (command is None):
         findings.append("model must give exactly one of model.builtin or model.command")
@@ -309,6 +323,7 @@ def _parse_kernel(sec, input_model, findings):
         return None
     kind = entry.get("type")
     if kind == "crank_nicolson":
+        _check_keys(entry, "smc.kernel", ("type", "a"), findings)
         a = _get_number(entry, "smc.kernel.a", findings,
                         minimum=0.0, strict_min=True, maximum=1.0)
         if a is not None and a >= 1.0:
@@ -325,6 +340,7 @@ def _parse_kernel(sec, input_model, findings):
             return None
         return CrankNicolsonKernel(a)
     if kind == "random_walk":
+        _check_keys(entry, "smc.kernel", ("type", "step_sds"), findings)
         sds = entry.get("step_sds", "match_input")
         if sds == "match_input":
             if input_model is None:
@@ -351,6 +367,8 @@ def _parse_smc(raw, input_model, findings):
     sec = _get_section(raw, "smc", findings)
     if sec is None:
         return None
+    _check_keys(sec, "smc", ("n_particles", "rho", "mutation_steps", "final_sample_size",
+                             "final_mh_steps", "kernel", "max_levels"), findings)
     n_particles = _get_number(sec, "smc.n_particles", findings, integer=True, minimum=2)
     rho = _get_number(sec, "smc.rho", findings)
     if rho is not None and not (0.0 < rho < 1.0):
@@ -423,6 +441,7 @@ def validate_config(raw: dict) -> list[str]:
         if builtin_event is None:
             findings.append("event.threshold required")
     else:
+        _check_keys(event_sec, "event", ("threshold",), findings)
         threshold = _get_number(event_sec, "event.threshold", findings)
         if threshold is not None and not np.isfinite(threshold):
             findings.append(f"event.threshold must be finite, got {threshold}")
@@ -430,26 +449,20 @@ def validate_config(raw: dict) -> list[str]:
     _parse_smc(raw, input_model, findings)
 
     dens = _get_section(raw, "density", findings, required=False)
+    _check_keys(dens or {}, "density",
+                ("marginal_exponents", "copula_exponents", "support_margin"), findings)
     _parse_exponents(dens, "density.marginal_exponents", findings)
     _parse_exponents(dens, "density.copula_exponents", findings)
     _get_number(dens, "density.support_margin", findings, required=False,
                 default=SUPPORT_MARGIN, minimum=0.0)
 
-    idx = _get_section(raw, "indices", findings, required=False)
-    _get_number(idx, "indices.n_draws", findings, required=False,
-                default=100_000, integer=True, minimum=1)
-    divergence = (idx or {}).get("divergence", "total_variation")
-    eta_method = (idx or {}).get(
-        "eta_method", "quadrature" if divergence == "total_variation" else "monte_carlo")
-    if eta_method not in ("monte_carlo", "quadrature"):
-        findings.append(f"indices.eta_method must be 'monte_carlo' or 'quadrature', "
-                        f"got {eta_method!r}")
-    if divergence not in _DIVERGENCES:
+    idx = _get_section(raw, "indices", findings, required=False) or {}
+    findings.extend(_RETIRED_INDEX_KEYS[key] for key in idx if key in _RETIRED_INDEX_KEYS)
+    _check_keys(idx, "indices", ("divergence", *_RETIRED_INDEX_KEYS), findings)
+    divergence = idx.get("divergence", "total_variation")
+    if not isinstance(divergence, str) or divergence not in _DIVERGENCES:
         findings.append(f"indices.divergence must be one of "
                         f"{', '.join(_DIVERGENCES)}, got {divergence!r}")
-    if divergence != "total_variation" and eta_method == "quadrature":
-        findings.append("indices.eta_method 'quadrature' only supports the "
-                        "total_variation divergence")
 
     _get_number(raw, "replications", findings, integer=True, minimum=1)
     _get_number(raw, "seed", findings, required=False, default=0,
@@ -484,10 +497,6 @@ def parse_config(raw: dict) -> CampaignConfig:
         marginal_exponents=_parse_exponents(dens, "density.marginal_exponents", []),
         copula_exponents=_parse_exponents(dens, "density.copula_exponents", []),
         support_margin=float(dens.get("support_margin", SUPPORT_MARGIN)),
-        n_draws=int(idx.get("n_draws", 100_000)),
-        eta_method=idx.get("eta_method", "quadrature"
-                           if idx.get("divergence", "total_variation") == "total_variation"
-                           else "monte_carlo"),
         divergence=idx.get("divergence", "total_variation"),
         replications=int(raw["replications"]),
         master_seed=int(raw.get("seed", 0)),
@@ -545,16 +554,8 @@ def run_replication(config: CampaignConfig, rep: int,
                               margin=config.support_margin)
         copula = fit_copula(pair, config.copula_exponents)
 
-        def draws(fam):
-            return stream(config.master_seed, _INDEX_DRAWS, rep, i,
-                          _FAMILY_STREAM[fam])
-
-        delta_f = delta_index(copula, config.n_draws, draws("delta_f"), divergence)
-        if config.eta_method == "quadrature":
-            eta_bar = target_tv_index(density, marginal, method="quadrature")
-        else:
-            eta_bar = csiszar_marginal_index(density, marginal, divergence,
-                                             config.n_draws, draws("eta_bar"))
+        delta_f = delta_index(copula, divergence)
+        eta_bar = csiszar_marginal_index(density, marginal, divergence)
         sobol = sobol_indicator_index(density, marginal, result.p_f_hat)
         values["delta_f"][i], flags["delta_f"][i] = _clip(delta_f, bounded)
         values["eta_bar"][i], flags["eta_bar"][i] = _clip(eta_bar, bounded)
@@ -778,7 +779,7 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
     indices = aggregate_replications(
         [rec["families"] for rec in records],
         [rec["p_f_hat"] for rec in records],
-        config.input_names, config.n_draws,
+        config.input_names,
         dependent_inputs=config.input_model.dependence != "independent")
     references = _reference_table(config) if with_references else None
     wall = time.perf_counter() - start

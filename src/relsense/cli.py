@@ -25,8 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import (CampaignRuntimeError, ConfigError, load_config,
-                       run_campaign, validate_config, write_outputs)
+from .campaign import (CampaignRuntimeError, ConfigError, parse_config,
+                       run_campaign, write_outputs)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -82,13 +82,6 @@ def cmd_estimate(args) -> int:
         raw["replications"] = args.replications
     if args.seed is not None:
         raw["seed"] = args.seed
-    findings = validate_config(raw)
-    if findings:
-        for line in findings:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
-    from .campaign import parse_config
-
     config = parse_config(raw)
     report = run_campaign(config, jobs=args.jobs)
     report_path, csv_path = write_outputs(report, args.out)
@@ -118,15 +111,7 @@ def cmd_references(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    raw = _load_raw(args.config)
-    findings = validate_config(raw)
-    if findings:
-        for line in findings:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
-    from .campaign import parse_config
-
-    config = parse_config(raw)
+    config = parse_config(_load_raw(args.config))
     print(f"config ok: model={config.model_label} dimension={config.dimension} "
           f"replications={config.replications} seed={config.master_seed}")
     return EXIT_OK

@@ -16,9 +16,12 @@ given failure, in total variation or a user-chosen convex divergence:
 * ``csiszar_indices`` -- the generalization to an arbitrary convex
   divergence and output weight function.
 
-Plug-in Monte Carlo sizes default to ``10**5`` draws; the Sobol index is
-integrated by quadrature instead.  Estimates are clipped to their
-theoretical range by :func:`clip_unit` with a flag.
+Every index is integrated on the Gauss-Legendre grid the max-entropy
+solver fitted its density on (:meth:`MaxEntDensity.quadrature` and
+:func:`~relsense.maxent.unit_square_grid`), so estimates are
+deterministic functions of the fitted densities and reach deep tails
+that no nominal draw does.  Estimates are clipped to their theoretical
+range by :func:`clip_unit` with a flag.
 """
 
 from __future__ import annotations
@@ -29,13 +32,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .maxent import (MaxEntCopula, MaxEntDensity, copula_fractional_moments,
                      fit_copula, fractional_moments_1d, solve_maxent,
-                     DEFAULT_EXPONENTS)
+                     unit_square_grid, DEFAULT_EXPONENTS)
 from .model import Marginal
-from .seeding import stream
 
 __all__ = [
     "EstimationError",
@@ -52,18 +53,11 @@ __all__ = [
     "IndexReport",
 ]
 
-DEFAULT_MC_DRAWS = 100_000
 NEGATIVE_VARIANCE_FLOOR = -1e-12
 
 
 class EstimationError(RuntimeError):
     """An index estimate cannot be formed from the given inputs."""
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _tv_phi(x):
@@ -77,6 +71,10 @@ def _kl_phi(x):
     pos = x > 0.0
     out[pos] = x[pos] * np.log(x[pos])
     return out
+
+
+# lim phi(r) / r as r grows, for the generators whose limit is known
+_SLOPE_AT_INFINITY = {_tv_phi: 0.5, _kl_phi: math.inf}
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class WeightFunction:
         return w
 
 
-def _phi_average(values, what: str) -> float:
+def _phi_integral(values, weights, what: str) -> float:
     values = np.asarray(values, dtype=float)
     if np.any(np.isnan(values)):
         raise EstimationError(f"divergence generator returned NaN while estimating {what}")
@@ -153,25 +151,22 @@ def _phi_average(values, what: str) -> float:
         warnings.warn(f"{what} is infinite: the generator diverges where the density "
                       "ratio vanishes", stacklevel=3)
         return float("inf")
-    return float(values.mean())
+    return float(np.sum(weights * values))
 
 
-def delta_index(copula: MaxEntCopula, n_draws: int = DEFAULT_MC_DRAWS, seed=0,
-                divergence: DivergenceSpec | None = None) -> float:
-    """Dependence index ``mean(phi(c(U, V)))`` over uniform draws.
+def delta_index(copula: MaxEntCopula, divergence: DivergenceSpec | None = None) -> float:
+    """Dependence index ``integral phi(c(u, v))`` over the unit square.
 
-    With the default total-variation generator this is the plug-in for
-    half the L1 distance between the fitted copula density and
-    independence.
+    Integrated on the copula solver's grid (:func:`unit_square_grid`).
+    With the default total-variation generator this is half the L1
+    distance between the fitted copula density and independence.
     """
-    rng = _as_rng(seed)
     phi = (divergence or DivergenceSpec.total_variation()).phi
-    u = rng.random((int(n_draws), 2))
-    return _phi_average(phi(copula.pdf(u)), "copula dependence index")
+    _, _, nodes, weights = unit_square_grid()
+    return _phi_integral(phi(copula.pdf(nodes)), weights, "copula dependence index")
 
 
-def delta_from_sample(sample_xy, exponents=None,
-                      n_draws: int = DEFAULT_MC_DRAWS, seed=0) -> float:
+def delta_from_sample(sample_xy, exponents=None) -> float:
     """Total-variation dependence of an ``(X_i, Y)`` sample.
 
     Fits the maximum-entropy copula to the sample's ranks (exponent set
@@ -180,54 +175,55 @@ def delta_from_sample(sample_xy, exponents=None,
     :func:`delta_index`.  Feed unconditional Monte Carlo pairs to get the
     classical input/output dependence index.
     """
-    cop = fit_copula(sample_xy, exponents)
-    return delta_index(cop, n_draws=n_draws, seed=seed)
+    return delta_index(fit_copula(sample_xy, exponents))
 
 
-def _tv_quadrature(density: MaxEntDensity, marginal: Marginal, n_points: int) -> float:
-    a, b = density.support
-    grid = np.linspace(a, b, n_points)
-    gap = np.abs(marginal.pdf(grid) - density.pdf(grid))
-    inside = simpson(gap, x=grid)
-    tails = marginal.cdf(a) + 1.0 - marginal.cdf(b)
-    return 0.5 * (inside + tails)
-
-
-def target_tv_index(density: MaxEntDensity, marginal: Marginal,
-                    method: str = "quadrature", n_draws: int = DEFAULT_MC_DRAWS,
-                    seed=0) -> float:
+def target_tv_index(density: MaxEntDensity, marginal: Marginal) -> float:
     """Total-variation distance between nominal and conditioned marginals.
 
-    ``method="quadrature"`` integrates ``|f - f_hat| / 2`` over the union
-    of supports (the fitted support plus analytic tail mass);
-    ``method="monte_carlo"`` averages ``|f_hat/f - 1| / 2`` over nominal
-    draws.  Both estimate the same distance, which is 1 when the
-    conditioned marginal escapes the nominal support entirely.
+    :func:`csiszar_marginal_index` with the total-variation generator;
+    the distance is 1 when the conditioned marginal escapes the nominal
+    support entirely.
     """
-    if method == "quadrature":
-        coarse = _tv_quadrature(density, marginal, 4097)
-        fine = _tv_quadrature(density, marginal, 8193)
-        if abs(fine - coarse) > 1e-4:
-            warnings.warn(f"target index quadrature moved by {abs(fine - coarse):.2e} "
-                          "under refinement; the integrand may be under-resolved",
-                          stacklevel=2)
-        return float(fine)
-    if method == "monte_carlo":
-        return csiszar_marginal_index(density, marginal,
-                                      DivergenceSpec.total_variation(), n_draws, seed)
-    raise ValueError(f"unknown method {method!r}, expected 'quadrature' or 'monte_carlo'")
+    return csiszar_marginal_index(density, marginal, DivergenceSpec.total_variation())
 
 
 def csiszar_marginal_index(density: MaxEntDensity, marginal: Marginal,
-                           divergence: DivergenceSpec,
-                           n_draws: int = DEFAULT_MC_DRAWS, seed=0) -> float:
-    """Monte Carlo ``mean(phi(f_hat(X)/f(X)))`` over nominal draws."""
-    rng = _as_rng(seed)
-    x = marginal.sample(int(n_draws), rng)
-    fx = marginal.pdf(x)
-    if np.any(fx <= 0.0):
-        raise EstimationError("nominal marginal density underflowed at a sampled point")
-    return _phi_average(divergence.phi(density.pdf(x) / fx), "marginal divergence index")
+                           divergence: DivergenceSpec) -> float:
+    """Divergence ``integral f * phi(f_hat / f)`` of the conditioned marginal.
+
+    ``f`` is the nominal marginal density and ``f_hat`` the fitted
+    conditioned one.  The integral runs over the fitted density's own
+    Gauss-Legendre grid, with the ratio formed in log space, plus
+    ``phi(0)`` times the nominal mass outside the fitted support.  As for
+    :func:`sobol_indicator_index`, nominal draws cannot stand in for it
+    deep in the tail.  Where ``f`` vanishes under fitted mass the
+    integrand tends to ``f_hat * lim phi(r)/r``: ``f_hat / 2`` for total
+    variation, so disjoint supports score exactly 1, and infinity for
+    Kullback-Leibler; other generators are an error there.
+    """
+    x, w = density.quadrature()
+    log_f = marginal.logpdf(x)
+    log_fhat = density.log_pdf(x)
+    void = np.isneginf(log_f)
+    ok = ~void
+    values = [np.exp(log_f[ok]) * divergence.phi(np.exp(log_fhat[ok] - log_f[ok]))]
+    weights = [w[ok]]
+    a, b = density.support
+    outside = float(marginal.cdf(a) + 1.0 - marginal.cdf(b))
+    if outside > 0.0:
+        values.append(divergence.phi(np.array([0.0])))
+        weights.append(np.array([outside]))
+    if np.any(void):
+        slope = _SLOPE_AT_INFINITY.get(divergence.phi)
+        if slope is None:
+            raise EstimationError(f"nominal marginal density vanishes inside the fitted "
+                                  f"support, where the limit of generator "
+                                  f"{divergence.name!r} is unknown")
+        values.append(slope * np.exp(log_fhat[void]))
+        weights.append(w[void])
+    return _phi_integral(np.concatenate(values), np.concatenate(weights),
+                         "marginal divergence index")
 
 
 def scaled_target_index(eta_bar: float, p_f_hat: float) -> float:
@@ -282,34 +278,27 @@ def sobol_indicator_index(density: MaxEntDensity, marginal: Marginal,
 def csiszar_indices(divergence: DivergenceSpec, weight: WeightFunction,
                     tilted_xy, marginal: Marginal, *,
                     marginal_exponents=DEFAULT_EXPONENTS,
-                    copula_exponents=DEFAULT_EXPONENTS,
-                    n_draws: int = DEFAULT_MC_DRAWS, seed=0) -> tuple[float, float]:
+                    copula_exponents=DEFAULT_EXPONENTS) -> tuple[float, float]:
     """Generalized pair (marginal index, dependence index) under a weight.
 
     ``tilted_xy`` holds ``(X_i, Y)`` pairs drawn from the law reweighted
     by ``w(Y)``; for ``w = indicator_above(S)`` that is exactly the
     conditioned output of a splitting run.  Returns
     ``(eta_bar_phi, delta_phi)``.  With the total-variation generator
-    and an indicator weight this reproduces :func:`target_tv_index`
-    (Monte Carlo method) and :func:`delta_index` exactly, seeds
-    included: the marginal part uses sub-stream 0 of ``seed`` and the
-    copula part sub-stream 1.
+    and an indicator weight this reproduces :func:`target_tv_index` and
+    :func:`delta_index` exactly.
     """
     xy = np.asarray(tilted_xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) tilted sample, got shape {xy.shape}")
-    if isinstance(seed, np.random.Generator):
-        raise TypeError("csiszar_indices needs an integer seed to derive its two "
-                        "sub-streams deterministically")
     w = weight.check_on(xy[:, 1])
     if np.any(w == 0.0):
         raise EstimationError(f"tilted sample contains points where weight {weight.name!r} "
                               "vanishes; it cannot come from the tilted law")
     density = solve_maxent(fractional_moments_1d(xy[:, 0], marginal_exponents))
     copula = solve_maxent(copula_fractional_moments(xy, copula_exponents))
-    eta_phi = csiszar_marginal_index(density, marginal, divergence, n_draws, stream(seed, 0))
-    delta_phi = delta_index(copula, n_draws, stream(seed, 1), divergence)
-    return eta_phi, delta_phi
+    return (csiszar_marginal_index(density, marginal, divergence),
+            delta_index(copula, divergence))
 
 
 def rank_descending(values) -> np.ndarray:
@@ -351,12 +340,11 @@ class IndexReport:
     clipped: dict[str, np.ndarray]
     p_f_hat: float
     n_replications: int
-    n_mc: int
     dependent_inputs: bool = False
 
 
 def aggregate_replications(per_rep: list[dict], p_f_hats, input_names,
-                           n_mc: int, dependent_inputs: bool = False) -> IndexReport:
+                           dependent_inputs: bool = False) -> IndexReport:
     """Fold per-replication family tables into an :class:`IndexReport`.
 
     ``per_rep`` entries map family names to ``(values, clip_flags)``
@@ -376,5 +364,5 @@ def aggregate_replications(per_rep: list[dict], p_f_hats, input_names,
     return IndexReport(input_names=tuple(input_names), estimates=est, sds=sds,
                        ranks=ranks, clipped=clipped,
                        p_f_hat=float(np.mean(np.asarray(p_f_hats, dtype=float))),
-                       n_replications=len(per_rep), n_mc=int(n_mc),
+                       n_replications=len(per_rep),
                        dependent_inputs=dependent_inputs)

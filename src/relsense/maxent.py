@@ -51,6 +51,7 @@ __all__ = [
     "dual_objective",
     "MARGINAL_LADDER",
     "COPULA_LADDER",
+    "unit_square_grid",
 ]
 
 SUPPORT_MARGIN = 0.0
@@ -283,7 +284,7 @@ class MaxEntCopula:
 
     def uniformity_gap(self, n_grid: int = 201) -> float:
         """Max deviation from 1 of both marginal densities (diagnostic)."""
-        nodes, weights = _gauss_legendre(0.0, 1.0, 128)
+        nodes, weights, _, _ = unit_square_grid()
         grid = np.linspace(0.0, 1.0, n_grid)
         gg, nn = np.meshgrid(grid, nodes, indexing="ij")
         mu = np.sum(self.pdf(np.column_stack([gg.ravel(), nn.ravel()])).reshape(gg.shape)
@@ -350,17 +351,35 @@ def _quadrature_1d(constraints, panels=8, nodes=48):
     return np.vstack([z ** e for e in constraints.exponents]), w
 
 
+@functools.lru_cache(maxsize=4)
+def unit_square_grid(n_axis=128):
+    """Gauss-Legendre grid of the copula solver on the unit square.
+
+    The substitution ``u = s**2`` removes the square-root kink of
+    fractional powers at zero.  Returns the axis nodes and weights and the
+    tensor grid built from them: ``(n_axis**2, 2)`` nodes, ``v`` running
+    fastest, with the product weights.  The 128-point grid is the one
+    whose resolution the drift check of :func:`solve_maxent` certifies.
+    All arrays are read-only and shared.
+    """
+    s, ws = _gauss_legendre(0.0, 1.0, n_axis)
+    u, wu = s * s, 2.0 * s * ws
+    nodes = np.column_stack([np.repeat(u, n_axis), np.tile(u, n_axis)])
+    weights = np.outer(wu, wu).ravel()
+    for arr in (u, wu, nodes, weights):
+        arr.setflags(write=False)
+    return u, wu, nodes, weights
+
+
 def _quadrature_2d(exponents, n_axis=128):
-    """Tensor grid on the unit square after ``u = s**2, v = t**2``.
+    """Features and weights on :func:`unit_square_grid`.
 
     Every feature is a product of one power per axis, so it is built as
     an outer product of two axis vectors.
     """
-    s, ws = _gauss_legendre(0.0, 1.0, n_axis)
-    u, wu = s * s, 2.0 * s * ws
-    wuv = np.outer(wu, wu).ravel()
-    feats = np.vstack([np.outer(u ** r, u ** s_).ravel() for r, s_ in exponents])
-    return feats, wuv
+    u, _, _, w = unit_square_grid(n_axis)
+    feats = np.vstack([np.outer(u ** r, u ** s).ravel() for r, s in exponents])
+    return feats, w
 
 
 @functools.lru_cache(maxsize=8)
@@ -483,13 +502,12 @@ def _copula_log_partition(exponents, lam, n_axis) -> float:
     A feature is a product of one power per axis, so ``lam . features``
     is a bilinear form in the axis powers and no feature matrix is built.
     """
-    s, ws = _gauss_legendre(0.0, 1.0, n_axis)
-    u, wu = s * s, 2.0 * s * ws
+    u, wu, _, _ = unit_square_grid(n_axis)
     values = sorted({e for pair in exponents for e in pair})
     pos = {e: k for k, e in enumerate(values)}
     coef = np.zeros((len(values), len(values)))
-    for lam_j, (r, s_) in zip(lam, exponents):
-        coef[pos[r], pos[s_]] += lam_j
+    for lam_j, (r, s) in zip(lam, exponents):
+        coef[pos[r], pos[s]] += lam_j
     powers = np.vstack([u ** e for e in values])
     logq = np.log(np.outer(wu, wu)) - powers.T @ coef @ powers
     top = float(np.max(logq))

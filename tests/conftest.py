@@ -26,7 +26,6 @@ SMALL_TOY1_CONFIG = {
     "smc": {"n_particles": 300, "rho": 0.25, "mutation_steps": 3,
             "final_sample_size": 1000, "final_mh_steps": 3,
             "kernel": {"type": "crank_nicolson", "a": 0.5}},
-    "indices": {"n_draws": 20000},
     "replications": 2,
     "seed": 7,
 }

@@ -17,7 +17,6 @@ from relsense.maxent import (copula_fractional_moments, fractional_moments_1d,
                              solve_maxent, _composite_gl)
 from relsense.model import Marginal, builtin_model
 from relsense.oracle import rejection_conditioned_sample
-from relsense.seeding import stream
 
 
 class Checker:
@@ -185,10 +184,8 @@ def test_criterion_4_plugin_against_rejection_oracle():
     rs = rejection_conditioned_sample(box, inputs, event, n_target=100_000,
                                       budget=200_000_000, seed=2024,
                                       block_size=1_000_000)
-    d1 = delta_from_sample(np.column_stack([rs.inputs[:, 0], rs.outputs]),
-                           seed=1)
-    d2 = delta_from_sample(np.column_stack([rs.inputs[:, 1], rs.outputs]),
-                           seed=2)
+    d1 = delta_from_sample(np.column_stack([rs.inputs[:, 0], rs.outputs]))
+    d2 = delta_from_sample(np.column_stack([rs.inputs[:, 1], rs.outputs]))
     print(f"\n[criterion 4] plug-in on 1e5 exact conditioned draws: "
           f"delta_f_1 {d1:.4f}, delta_f_2 {d2:.4f}")
     c = Checker("criterion 4")
@@ -209,7 +206,6 @@ def test_criterion_5_property_bundle():
         "smc": {"n_particles": 250, "rho": 0.3, "mutation_steps": 2,
                 "final_sample_size": 800, "final_mh_steps": 2,
                 "kernel": {"type": "crank_nicolson", "a": 0.5}},
-        "indices": {"n_draws": 20000},
         "replications": 1,
         "seed": 77,
     }
@@ -243,8 +239,7 @@ def test_criterion_5_property_bundle():
 
     # independence null stays under the frozen noise floor
     rng = np.random.default_rng(31)
-    null_worst = max(delta_from_sample(rng.standard_normal((3000, 2)),
-                                       n_draws=20000, seed=17)
+    null_worst = max(delta_from_sample(rng.standard_normal((3000, 2)))
                      for _ in range(3))
     c.at_most("independence-null delta_f", null_worst, 0.08)
 
@@ -256,12 +251,11 @@ def test_criterion_5_property_bundle():
     marginal = Marginal("normal", 0.0, 1.0)
     eta, delta = csiszar_indices(DivergenceSpec.total_variation(),
                                  WeightFunction.indicator_above(0.0),
-                                 xy, marginal, n_draws=20000, seed=55)
+                                 xy, marginal)
     density = solve_maxent(fractional_moments_1d(xy[:, 0]))
     copula = solve_maxent(copula_fractional_moments(xy))
-    eta_direct = target_tv_index(density, marginal, method="monte_carlo",
-                                 n_draws=20000, seed=stream(55, 0))
-    delta_direct = delta_index(copula, n_draws=20000, seed=stream(55, 1))
+    eta_direct = target_tv_index(density, marginal)
+    delta_direct = delta_index(copula)
     c.check("generalized estimator specializes exactly",
             eta == eta_direct and delta == delta_direct,
             f"eta {eta:.6g} vs {eta_direct:.6g}, "

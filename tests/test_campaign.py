@@ -1,8 +1,10 @@
 """Campaign configs, replication orchestration, reports and outputs."""
 
 import copy
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from relsense.campaign import (
     write_outputs,
 )
 from relsense.smc import CrankNicolsonKernel, GaussianRandomWalkKernel
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def table6_style_config(command):
@@ -54,19 +58,52 @@ class TestValidation:
         assert config.copula_exponents is None
         assert config.support_margin == 0.0
         assert config.divergence == "total_variation"
-        assert config.eta_method == "quadrature"
         assert isinstance(config.smc.kernel, CrankNicolsonKernel)
 
-    def test_kl_divergence_defaults_to_monte_carlo_eta(self, small_toy1_config):
+    def test_kl_divergence_is_valid(self, small_toy1_config):
         small_toy1_config["indices"] = {"divergence": "kullback_leibler"}
         assert validate_config(small_toy1_config) == []
-        assert parse_config(small_toy1_config).eta_method == "monte_carlo"
+        assert parse_config(small_toy1_config).divergence == "kullback_leibler"
 
     def test_kl_with_quadrature_eta_rejected(self, small_toy1_config):
         small_toy1_config["indices"] = {"divergence": "kullback_leibler",
                                         "eta_method": "quadrature"}
         findings = validate_config(small_toy1_config)
-        assert any("only supports the total_variation" in f for f in findings)
+        assert findings == ["indices.eta_method is retired: eta_bar is integrated on "
+                            "the fitted density's quadrature grid for every divergence"]
+
+    def test_retired_draw_count_is_a_finding(self, small_toy1_config):
+        small_toy1_config["indices"] = {"n_draws": 20000}
+        findings = validate_config(small_toy1_config)
+        assert len(findings) == 1
+        assert findings[0].startswith("indices.n_draws is retired")
+
+    def test_misspelled_index_key_is_a_finding(self, small_toy1_config):
+        # a typo must not silently fall back to total variation
+        small_toy1_config["indices"] = {"divergance": "kullback_leibler"}
+        assert validate_config(small_toy1_config) == ["unknown key 'divergance' in indices"]
+
+    @pytest.mark.parametrize("section, path", [
+        (("model",), "model"),
+        (("smc",), "smc"),
+        (("smc", "kernel"), "smc.kernel"),
+        (("event",), "event"),
+        (("density",), "density"),
+        (("inputs",), "inputs"),
+        (("inputs", "marginals", 1), "inputs.marginals[1]"),
+    ])
+    def test_unknown_key_in_a_section_is_a_finding(self, small_toy1_config, section, path):
+        small_toy1_config["event"] = {"threshold": 3.0}
+        small_toy1_config["density"] = {"support_margin": 0.0}
+        small_toy1_config["inputs"] = {"marginals": [
+            {"kind": "normal", "mean": 0.0, "sd": 1.0},
+            {"kind": "normal", "mean": 0.0, "sd": 2.2360679774997896}]}
+        assert validate_config(small_toy1_config) == []
+        target = small_toy1_config
+        for key in section:
+            target = target[key]
+        target["extra"] = 1
+        assert validate_config(small_toy1_config) == [f"unknown key 'extra' in {path}"]
 
     def test_all_findings_reported_at_once(self):
         raw = {
@@ -109,6 +146,17 @@ class TestValidation:
         findings = validate_config(small_toy1_config)
         assert any("exactly one of model.builtin or model.command" in f
                    for f in findings)
+
+    def test_demo_configs_are_valid(self):
+        paths = sorted(DEMOS.glob("configs/*.json"))
+        assert paths
+        for path in paths:
+            assert validate_config(json.loads(path.read_text())) == [], path.name
+        spec = importlib.util.spec_from_file_location(
+            "demo_external", DEMOS / "05_external_model_protocol.py")
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        assert validate_config(demo.campaign_config(["model"])) == []
 
     def test_unknown_top_level_section(self, small_toy1_config):
         small_toy1_config["extras"] = {}
@@ -168,6 +216,8 @@ class TestValidation:
         assert validate_config(raw) == []
         config = parse_config(raw)
         assert config.input_model.dependence == "gaussian"
+        raw["inputs"]["dependence"]["covariant"] = [[1.0, 0.0], [0.0, 1.0]]
+        assert validate_config(raw) == ["unknown key 'covariant' in inputs.dependence"]
 
     def test_bad_covariance_reported(self):
         raw = {
@@ -417,7 +467,6 @@ class TestExternalCampaign:
             "smc": {"n_particles": 150, "rho": 0.35, "mutation_steps": 2,
                     "final_sample_size": 400, "final_mh_steps": 2,
                     "kernel": {"type": "crank_nicolson", "a": 0.5}},
-            "indices": {"n_draws": 5000},
             "replications": 1,
             "seed": 3,
         }

@@ -45,6 +45,16 @@ class TestValidate:
         assert "config error: smc.rho must lie in (0, 1), got 1.2" in err
         assert "config error: replications must be >= 1, got 0" in err
 
+    def test_retired_index_keys_exit_2(self, tmp_path, small_toy1_config, capsys):
+        small_toy1_config["indices"] = {"n_draws": 20000, "eta_method": "monte_carlo"}
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(small_toy1_config))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: indices.n_draws is retired" in err
+        assert "config error: indices.eta_method is retired" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["validate", "--config", str(tmp_path / "absent.json")], capsys)
