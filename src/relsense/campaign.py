@@ -279,7 +279,13 @@ def _parse_inputs(raw, builtin_inputs, findings):
         if cov is None:
             findings.append("inputs.dependence.covariance required")
             return None, names
-        dependence, covariance = "gaussian", np.asarray(cov, dtype=float)
+        try:
+            covariance = np.asarray(cov, dtype=float)
+        except (TypeError, ValueError):
+            findings.append(f"inputs.dependence.covariance must be a numeric matrix, "
+                            f"got {cov!r}")
+            return None, names
+        dependence = "gaussian"
     else:
         findings.append("inputs.dependence must be a string or an object")
         return None, names

@@ -9,7 +9,9 @@ the strictly convex dual problem
 
 whose gradient is ``mu - E_f[phi]`` and whose Hessian is ``Cov_f(phi)``;
 a damped Newton iteration with backtracking line search drives the
-gradient norm below ``tol``.
+gradient norm below ``tol``.  The iteration runs in a centred,
+orthonormal (whitened) basis of the features, integrated by
+Gauss-Legendre quadrature.
 
 Two families are provided: one-dimensional densities with power features
 ``x**beta`` on a data-driven support (used for failure-conditioned input
@@ -19,6 +21,14 @@ copula features are the margin powers ``u**a`` and ``v**b`` plus the
 cross products ``u**a * v**b``; matching the margin moments of the ranks
 makes the fit a minimum-information copula in the sense of Bedford &
 Wilson (2014), with marginals uniform up to the fitted moments.
+
+That copula family is a tensor product of one set of axis powers with
+itself, so the solver never builds its features over the 128 x 128
+grid: it whitens the axis powers per axis, writes every feature in
+products of the axis polynomials through a Kronecker map, and evaluates
+the log density, the moments and the Hessian as small matrix products
+on 128-point axis arrays.  A 1-D family is whitened directly on its
+384-node grid.
 
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
@@ -345,12 +355,6 @@ def _support_nodes(a, b, panels=8, nodes=48):
     return _composite_gl(a, b, panels, nodes)
 
 
-def _quadrature_1d(constraints, panels=8, nodes=48):
-    """Feature matrix and weights on the support."""
-    z, w = _support_nodes(*constraints.support, panels, nodes)
-    return np.vstack([z ** e for e in constraints.exponents]), w
-
-
 @functools.lru_cache(maxsize=4)
 def unit_square_grid(n_axis=128):
     """Gauss-Legendre grid of the copula solver on the unit square.
@@ -371,57 +375,132 @@ def unit_square_grid(n_axis=128):
     return u, wu, nodes, weights
 
 
-def _quadrature_2d(exponents, n_axis=128):
-    """Features and weights on :func:`unit_square_grid`.
-
-    Every feature is a product of one power per axis, so it is built as
-    an outer product of two axis vectors.
-    """
-    u, _, _, w = unit_square_grid(n_axis)
-    feats = np.vstack([np.outer(u ** r, u ** s).ravel() for r, s in exponents])
-    return feats, w
-
-
-@functools.lru_cache(maxsize=8)
-def _copula_basis(exponents, n_axis):
-    """Weights and whitened features of a copula family on its grid.
-
-    The unit square does not depend on the data, so the basis is built
-    once per (exponent set, grid) and shared by every fit.
-    """
-    feats, w = _quadrature_2d(exponents, n_axis)
-    basis = _whiten(feats, w)
-    for arr in (w, *basis):
-        arr.setflags(write=False)
-    return w, basis
-
-
-def _log_partition(lam, feats, w):
-    logq = -(lam @ feats)
+def _log_partition(logq, w):
     m = np.max(logq)
-    return m + math.log(np.sum(w * np.exp(logq - m)))
+    return float(m + math.log(np.sum(w * np.exp(logq - m))))
 
 
-def dual_objective(constraints: MomentConstraints, lam) -> float:
-    """Value of the convex dual at ``lam`` (used to certify convexity)."""
-    lam = np.asarray(lam, dtype=float)
-    if constraints.ndim == 1:
-        feats, w = _quadrature_1d(constraints)
-    else:
-        feats, w = _quadrature_2d(constraints.exponents)
-    return float(lam @ constraints.targets + _log_partition(lam, feats, w))
+@dataclass(frozen=True)
+class _TensorFamily:
+    """A copula family held as per-axis arrays (see :func:`_whiten`).
+
+    ``powers`` holds the axis powers ``u**e`` (row 0 the constant) and
+    ``index`` the power row of each feature on each axis; ``g`` holds the
+    axis polynomials orthonormal under the axis weights and ``pairs``
+    their pairwise products ``g_i * g_k``.  The whitened features are the
+    columns of ``coef`` over the non-constant products ``g_i(u) g_j(v)``,
+    with ``r.T @ whitened = features / scale - center``.  A function on
+    the grid is the bilinear form ``axis.T @ C @ axis`` of a coefficient
+    matrix, ``u`` along rows and ``v`` along columns.
+    """
+
+    powers: np.ndarray
+    index: np.ndarray
+    weights: np.ndarray
+    scale: np.ndarray
+    center: np.ndarray
+    r: np.ndarray
+    coef: np.ndarray
+    g: np.ndarray
+    pairs: np.ndarray
+
+    def log_partition(self, lam) -> float:
+        """``log Z`` at multipliers ``lam`` of the original features."""
+        k1 = self.g.shape[0]
+        coef = np.zeros((k1, k1))
+        np.add.at(coef, (self.index[:, 0], self.index[:, 1]), lam)
+        return _log_partition(-(self.powers.T @ coef @ self.powers), self.weights)
+
+    def whitened_log_q(self, lam):
+        """Unnormalized log density at multipliers of the whitened features."""
+        k1 = self.g.shape[0]
+        theta = np.concatenate([[0.0], self.coef @ lam]).reshape(k1, k1)
+        return -(self.g.T @ theta @ self.g)
+
+    def moments(self, p):
+        """Mean and covariance of the whitened features under the grid
+        probabilities ``p``."""
+        k1 = self.g.shape[0]
+        first = (self.g @ p @ self.g.T).ravel()[1:]
+        # E[g_i g_k (u) g_j g_l (v)] comes out indexed ((i, k), (j, l))
+        second = (self.pairs @ p @ self.pairs.T).reshape(k1, k1, k1, k1)
+        second = second.transpose(0, 2, 1, 3).reshape(k1 * k1, k1 * k1)[1:, 1:]
+        cov = second - np.outer(first, first)
+        return self.coef.T @ first, self.coef.T @ cov @ self.coef
 
 
-def _whiten(feats, w):
-    """Scaled features and an orthonormal basis of the same span.
+def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
+    """Whitened basis of a copula family ``u**a * v**b`` on a tensor grid.
 
     Power features on one interval are close to collinear (the Gram
     matrix of six powers per axis of a copula has condition number near
-    1e17).  Centred and orthonormalized under the quadrature weights by
-    a QR factorization, they span the same exponential family with a
-    well-conditioned dual Hessian.  Returns ``(scale, fs, center, r, g)``
-    with ``fs = feats / scale`` and ``r.T @ g = fs - center``.
+    1e17), so the solver works in a centred, orthonormal basis of the
+    same span.  It is built per axis, both axes sharing ``nodes`` and
+    ``axis_weights``: a QR factorization of the ``k + 1`` axis powers
+    (the constant first) under the axis weights gives polynomials ``g``
+    with ``powers = R.T @ g``.  The products ``g_i(u) g_j(v)`` other than
+    the constant are then orthonormal and centred under the product
+    weights, and the Kronecker map ``C[(i, j), (a, b)] = R[i, a] R[j, b]``
+    writes every feature in them.  A QR factorization of that small
+    ``((k+1)**2 - 1, m)`` matrix whitens the features themselves, so a
+    hand-built set without margin features works alike.  No feature
+    matrix over the grid is built.
     """
+    values = sorted({0.0} | {e for pair in exponents for e in pair})
+    pos = {e: i for i, e in enumerate(values)}
+    index = np.array([[pos[a], pos[b]] for a, b in exponents])
+    powers = np.vstack([nodes ** e for e in values])
+    wn = axis_weights / np.sum(axis_weights)
+    q, r_axis = np.linalg.qr((powers * np.sqrt(wn)).T)
+    sign = np.where(np.diag(r_axis) < 0.0, -1.0, 1.0)
+    g = sign[:, None] * (q / np.sqrt(wn)[:, None]).T
+    r_axis = sign[:, None] * r_axis
+    scale = np.prod(np.max(np.abs(powers), axis=1)[index], axis=1)
+    kron = np.column_stack([np.outer(r_axis[:, a], r_axis[:, b]).ravel()
+                            for a, b in index]) / scale
+    # g[0] is the constant 1, so the constant row of the map is each
+    # feature's mean and the remaining rows its centred part
+    center = kron[0]
+    coef, r = np.linalg.qr(kron[1:])
+    if np.any(np.abs(np.diag(r)) <= 1e-14 * np.max(np.abs(np.diag(r)))):
+        raise MaxEntError("features are linearly dependent on the support")
+    pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, nodes.shape[0])
+    family = _TensorFamily(powers=powers, index=index,
+                           weights=np.outer(axis_weights, axis_weights), scale=scale,
+                           center=center, r=r, coef=coef, g=g, pairs=pairs)
+    for arr in vars(family).values():
+        arr.setflags(write=False)
+    return family
+
+
+@dataclass(frozen=True)
+class _DenseFamily:
+    """A 1-D family with its features as a dense matrix on the support
+    grid: six powers on 384 nodes cost little.  ``g`` holds the whitened
+    features of :func:`_whiten_dense`, with the contract of
+    :class:`_TensorFamily`."""
+
+    feats: np.ndarray
+    weights: np.ndarray
+    scale: np.ndarray
+    center: np.ndarray
+    r: np.ndarray
+    g: np.ndarray
+
+    def log_partition(self, lam) -> float:
+        return _log_partition(-(lam @ self.feats), self.weights)
+
+    def whitened_log_q(self, lam):
+        return -(lam @ self.g)
+
+    def moments(self, p):
+        mom = self.g @ p
+        return mom, (self.g * p) @ self.g.T - np.outer(mom, mom)
+
+
+def _whiten_dense(feats, w) -> _DenseFamily:
+    """Centred features, orthonormalized under the weights ``w`` by a QR
+    factorization of the weighted feature matrix (see :func:`_whiten`)."""
     scale = np.max(np.abs(feats), axis=1)
     if np.any(scale == 0.0):
         raise MaxEntError("a feature vanishes identically on the support")
@@ -432,37 +511,68 @@ def _whiten(feats, w):
     if np.any(np.abs(np.diag(r)) <= 1e-14 * np.max(np.abs(np.diag(r)))):
         raise MaxEntError("features are linearly dependent on the support")
     g = (q / np.sqrt(wn)[:, None]).T
-    return scale, fs, center, r, g
+    return _DenseFamily(feats=feats, weights=w, scale=scale, center=center, r=r, g=g)
 
 
-def _newton(targets, w, basis, tol, max_iter):
+def _density_family(constraints):
+    z, w = _support_nodes(*constraints.support)
+    return _whiten_dense(np.vstack([z ** e for e in constraints.exponents]), w)
+
+
+@functools.lru_cache(maxsize=8)
+def _copula_family(exponents, n_axis=128):
+    """The unit square does not depend on the data, so a copula family is
+    whitened once per (exponent set, grid) and shared by every fit."""
+    u, wu, _, _ = unit_square_grid(n_axis)
+    return _whiten(exponents, u, wu)
+
+
+def _family(constraints):
+    if constraints.ndim == 1:
+        return _density_family(constraints)
+    return _copula_family(tuple(tuple(float(e) for e in pair)
+                                for pair in constraints.exponents))
+
+
+def dual_objective(constraints: MomentConstraints, lam) -> float:
+    """Value of the convex dual at ``lam`` (used to certify convexity)."""
+    lam = np.asarray(lam, dtype=float)
+    return float(lam @ constraints.targets + _family(constraints).log_partition(lam))
+
+
+def _newton(targets, family, tol, max_iter):
     """Damped Newton on the dual; returns (multipliers, log Z, iterations).
 
-    The steps are taken in the whitened basis of :func:`_whiten`;
-    convergence is judged on the moments of the original features, and
-    the multipliers are returned in that basis.
+    ``family`` is a :class:`_TensorFamily` (copula) or a
+    :class:`_DenseFamily` (1-D).  The steps are taken in its whitened
+    basis; for a copula that works on the per-axis arrays of
+    :func:`_whiten`: the log density is the bilinear form
+    ``g.T @ Theta @ g`` over the 128 x 128 grid ``P`` of probabilities,
+    the moments are ``g P g.T`` and the Hessian comes from the pairwise
+    products, ``(g * g) P (g * g).T``.  Newton steps are affine
+    invariant, so the iterates are those of the original features.
+    Convergence is judged on the moments of the original features,
+    ``r.T @ grad``, and the multipliers are returned in that basis.
     """
-    scale, fs, center, r, g = basis
+    scale, center, r, w = family.scale, family.center, family.r, family.weights
     mu_s = targets / scale
     mu_g = solve_triangular(r, mu_s - center, trans="T")
     lam = np.zeros(targets.shape[0])
     for it in range(1, max_iter + 1):
-        logq = -(lam @ g)
+        logq = family.whitened_log_q(lam)
         mstar = np.max(logq)
         qw = w * np.exp(logq - mstar)
         z = float(np.sum(qw))
         if not np.isfinite(z) or z <= 0.0:
             raise InfeasibleConstraintsError("dual integrand degenerated; constraints "
                                              "are infeasible on this support")
-        p = qw / z
-        grad_s = mu_s - fs @ p
-        if np.linalg.norm(grad_s * scale) <= tol and np.linalg.norm(grad_s) <= tol:
-            lam_s = solve_triangular(r, lam)
-            return lam_s / scale, _log_partition(lam_s, fs, w), it
-        mom = g @ p
+        mom, hess = family.moments(qw / z)
         grad = mu_g - mom
+        grad_s = r.T @ grad
+        if np.linalg.norm(grad_s * scale) <= tol and np.linalg.norm(grad_s) <= tol:
+            lam_orig = solve_triangular(r, lam) / scale
+            return lam_orig, family.log_partition(lam_orig), it
         obj = float(lam @ mu_g + mstar + math.log(z))
-        hess = (g * p) @ g.T - np.outer(mom, mom)
         ridge = 0.0
         while True:
             try:
@@ -482,7 +592,7 @@ def _newton(targets, w, basis, tol, max_iter):
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
-            cand_obj = float(cand @ mu_g + _log_partition(cand, g, w))
+            cand_obj = float(cand @ mu_g + _log_partition(family.whitened_log_q(cand), w))
             if cand_obj <= obj + 1e-4 * t * slope:
                 lam = cand
                 break
@@ -496,30 +606,12 @@ def _newton(targets, w, basis, tol, max_iter):
     raise MaxEntError(f"Newton did not reach gradient norm {tol} in {max_iter} iterations")
 
 
-def _copula_log_partition(exponents, lam, n_axis) -> float:
-    """``log Z`` of a copula's features on an ``n_axis`` tensor grid.
-
-    A feature is a product of one power per axis, so ``lam . features``
-    is a bilinear form in the axis powers and no feature matrix is built.
-    """
-    u, wu, _, _ = unit_square_grid(n_axis)
-    values = sorted({e for pair in exponents for e in pair})
-    pos = {e: k for k, e in enumerate(values)}
-    coef = np.zeros((len(values), len(values)))
-    for lam_j, (r, s) in zip(lam, exponents):
-        coef[pos[r], pos[s]] += lam_j
-    powers = np.vstack([u ** e for e in values])
-    logq = np.log(np.outer(wu, wu)) - powers.T @ coef @ powers
-    top = float(np.max(logq))
-    return top + math.log(float(np.sum(np.exp(logq - top))))
-
-
 def _solve_copula(constraints, tol=1e-6, max_iter=200):
     """Fitted copula and its quadrature drift, the change of ``log Z``
     from the 128-point solver grid to a 256-point one."""
     exps = tuple(tuple(float(e) for e in pair) for pair in constraints.exponents)
-    lam, log_z, _ = _newton(constraints.targets, *_copula_basis(exps, 128), tol, max_iter)
-    drift = abs(_copula_log_partition(exps, lam, 256) - log_z)
+    lam, log_z, _ = _newton(constraints.targets, _copula_family(exps, 128), tol, max_iter)
+    drift = abs(_copula_family(exps, 256).log_partition(lam) - log_z)
     return MaxEntCopula(exponents=constraints.exponents, multipliers=lam,
                         log_normalizer=-log_z), drift
 
@@ -535,8 +627,8 @@ def solve_maxent(constraints: MomentConstraints, tol: float = 1e-6,
     is under-resolved by its quadrature grid.
     """
     if constraints.ndim == 1:
-        feats, w = _quadrature_1d(constraints)
-        lam, log_z, _ = _newton(constraints.targets, w, _whiten(feats, w), tol, max_iter)
+        lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
+                                tol, max_iter)
         return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
                              log_normalizer=-log_z,
                              support_shifted=constraints.support, shift=constraints.shift)

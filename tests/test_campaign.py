@@ -236,6 +236,25 @@ class TestValidation:
         }
         assert any("symmetric" in f for f in validate_config(raw))
 
+    @pytest.mark.parametrize("cov", ["abc", [[1.0, 0.5], [0.5]]],
+                             ids=["string", "ragged"])
+    def test_non_numeric_covariance_is_a_finding(self, cov):
+        raw = {
+            "model": {"command": ["ext"], "dimension": 2},
+            "inputs": {
+                "marginals": [{"kind": "normal", "mean": 0.0, "sd": 1.0},
+                              {"kind": "normal", "mean": 0.0, "sd": 1.0}],
+                "dependence": {"type": "gaussian", "covariance": cov},
+            },
+            "event": {"threshold": 1.0},
+            "smc": {"n_particles": 100, "rho": 0.5, "mutation_steps": 1,
+                    "final_sample_size": 10, "final_mh_steps": 1,
+                    "kernel": {"type": "random_walk", "step_sds": "match_input"}},
+            "replications": 1,
+        }
+        assert validate_config(raw) == [
+            f"inputs.dependence.covariance must be a numeric matrix, got {cov!r}"]
+
     def test_exponent_lists_checked(self, small_toy1_config):
         small_toy1_config["density"] = {"marginal_exponents": [1.5, 0.5]}
         assert any("strictly increasing" in f

@@ -55,6 +55,24 @@ class TestValidate:
         assert "config error: indices.n_draws is retired" in err
         assert "config error: indices.eta_method is retired" in err
 
+    def test_ragged_covariance_exits_2(self, tmp_path, capsys):
+        raw = {"model": {"command": ["ext"], "dimension": 2},
+               "inputs": {"marginals": [{"kind": "normal", "mean": 0.0, "sd": 1.0},
+                                        {"kind": "normal", "mean": 0.0, "sd": 1.0}],
+                          "dependence": {"type": "gaussian",
+                                         "covariance": [[1.0, 0.5], [0.5]]}},
+               "event": {"threshold": 1.0},
+               "smc": {"n_particles": 100, "rho": 0.5, "mutation_steps": 1,
+                       "final_sample_size": 10, "final_mh_steps": 1,
+                       "kernel": {"type": "random_walk", "step_sds": "match_input"}},
+               "replications": 1}
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: inputs.dependence.covariance must be a numeric matrix" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["validate", "--config", str(tmp_path / "absent.json")], capsys)

@@ -1,6 +1,7 @@
 """Maximum-entropy densities and copulas under fractional moment constraints."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from relsense.maxent import (
+    COPULA_LADDER,
     DEFAULT_EXPONENTS,
     InfeasibleConstraintsError,
+    MaxEntError,
     MaxEntCopula,
     MaxEntDensity,
     MomentConstraints,
+    _bic,
     copula_fractional_moments,
     dual_objective,
     fit_copula,
@@ -21,6 +25,7 @@ from relsense.maxent import (
     fractional_moments_1d,
     solve_maxent,
 )
+from relsense.indices import delta_index
 
 
 def integrate_pdf(density, fn=None):
@@ -34,20 +39,33 @@ def integrate_pdf(density, fn=None):
     return val
 
 
-def copula_integral(copula, fn):
-    """Integrate ``fn(u, v) * pdf`` over the unit square.
+def copula_grid(n=96):
+    """Nodes and weights of a tensor Gauss-Legendre rule on the unit square.
 
     The substitution u = s**2, v = t**2 removes the fractional-power kink
-    at the axes, after which a tensor Gauss-Legendre rule converges fast.
+    at the axes, after which the rule converges fast.
     """
-    s, w = np.polynomial.legendre.leggauss(96)
+    s, w = np.polynomial.legendre.leggauss(n)
     s = 0.5 * (s + 1.0)
     w = 0.5 * w
     gu, gv = np.meshgrid(s, s, indexing="ij")
     u, v = gu.ravel() ** 2, gv.ravel() ** 2
-    jac = 4.0 * gu.ravel() * gv.ravel()
-    vals = copula.pdf(np.column_stack([u, v])) * fn(u, v) * jac
-    return float(np.sum(vals * np.outer(w, w).ravel()))
+    return u, v, 4.0 * gu.ravel() * gv.ravel() * np.outer(w, w).ravel()
+
+
+def copula_integral(copula, fn, n=96):
+    """Integrate ``fn(u, v) * pdf`` over the unit square."""
+    u, v, w = copula_grid(n)
+    return float(np.sum(copula.pdf(np.column_stack([u, v])) * fn(u, v) * w))
+
+
+def toy1_pair(which, n=3000, seed=2025):
+    """I.i.d. draws of ``(X_which, Y)`` from the first example given failure:
+    ``X1`` normal truncated to (3, inf), ``X2 ~ N(0, 5)``, ``Y = X1 + |X2|``."""
+    rng = np.random.default_rng(seed)
+    x1 = stats.truncnorm.rvs(3.0, np.inf, size=n, random_state=rng)
+    x2 = rng.normal(0.0, math.sqrt(5.0), n)
+    return np.column_stack([x1 if which == 1 else x2, x1 + np.abs(x2)])
 
 
 class TestMoments1d:
@@ -240,16 +258,27 @@ class TestSolveCopula:
         uv = np.column_stack([g.ravel() for g in np.meshgrid(grid, grid)])
         np.testing.assert_allclose(copula.pdf(uv), 1.0, atol=1e-6)
 
-    def test_fitted_copula_normalizes_and_matches_moments(self):
+    @pytest.mark.parametrize("family", list(COPULA_LADDER) + ["cross_only"],
+                             ids=[f"{len(e)}_exponents" for e in COPULA_LADDER] + ["cross_only"])
+    def test_fitted_copula_normalizes_and_matches_moments(self, family):
         rng = np.random.default_rng(12)
         z = rng.standard_normal((3000, 2))
         xy = np.column_stack([z[:, 0], 0.7 * z[:, 0] + math.sqrt(1 - 0.49) * z[:, 1]])
-        c = copula_fractional_moments(xy)
+        if family == "cross_only":
+            # a hand-built set without margin features
+            full = copula_fractional_moments(xy, DEFAULT_EXPONENTS)
+            keep = [j for j, (r, s) in enumerate(full.exponents) if r > 0.0 and s > 0.0]
+            c = MomentConstraints(ndim=2, exponents=tuple(full.exponents[j] for j in keep),
+                                  targets=full.targets[keep], support=full.support)
+        else:
+            c = copula_fractional_moments(xy, family)
         copula = solve_maxent(c)
-        assert copula_integral(copula, lambda u, v: 1.0) == pytest.approx(1.0, abs=1e-5)
-        for (r, s), target in zip(c.exponents, c.targets):
-            got = copula_integral(copula, lambda u, v, r=r, s=s: u ** r * v ** s)
-            assert got == pytest.approx(target, abs=2e-5)
+        # every feature built densely on a grid of the test's own
+        u, v, w = copula_grid()
+        mass = copula.pdf(np.column_stack([u, v])) * w
+        feats = np.vstack([u ** r * v ** s for r, s in c.exponents])
+        assert np.sum(mass) == pytest.approx(1.0, abs=1e-5)
+        np.testing.assert_allclose(feats @ mass, c.targets, rtol=0.0, atol=2e-5)
 
     def test_positive_dependence_concentrates_on_diagonal(self):
         rng = np.random.default_rng(13)
@@ -264,6 +293,41 @@ class TestSolveCopula:
         rng = np.random.default_rng(14)
         copula = solve_maxent(copula_fractional_moments(rng.standard_normal((5000, 2))))
         assert copula.uniformity_gap() < 0.2
+
+    def test_solution_minimizes_dual(self):
+        rng = np.random.default_rng(18)
+        z = rng.standard_normal((2000, 2))
+        c = copula_fractional_moments(np.column_stack([z[:, 0], z[:, 0] + z[:, 1]]))
+        copula = solve_maxent(c)
+        best = dual_objective(c, copula.multipliers)
+        assert best == pytest.approx(
+            float(copula.multipliers @ c.targets) - copula.log_normalizer, abs=1e-12)
+        for scale in (1e-3, 1e-2, 0.1):
+            for direction in np.eye(len(c.exponents))[[0, 3, 8]]:
+                assert best <= dual_objective(c, copula.multipliers + scale * direction) + 1e-10
+                assert best <= dual_objective(c, copula.multipliers - scale * direction) + 1e-10
+
+    @pytest.mark.parametrize("exponents, targets", [
+        (((1.0, 0.0),), (1.2,)),
+        (((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)), (1.2, 0.5, 0.6)),
+        (((1.0, 0.0), (2.0, 0.0)), (0.5, 0.6)),
+    ], ids=["mean_above_one", "mean_above_one_with_cross", "second_above_first"])
+    def test_infeasible_targets_raise(self, exponents, targets):
+        # on the unit square E[u] < 1 and E[u**2] <= E[u]
+        c = MomentConstraints(ndim=2, exponents=exponents, targets=targets,
+                              support=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(InfeasibleConstraintsError, match="no density on the support"):
+            solve_maxent(c)
+
+    @pytest.mark.parametrize("exponents", [((1.0, 1.0), (0.5, 1.0), (1.0, 1.0)),
+                                           ((0.0, 0.0), (1.0, 1.0))],
+                             ids=["repeated_pair", "constant_feature"])
+    def test_dependent_features_raise(self, exponents):
+        c = MomentConstraints(ndim=2, exponents=exponents,
+                              targets=[0.25] * len(exponents),
+                              support=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(MaxEntError, match="linearly dependent"):
+            solve_maxent(c)
 
     def test_off_square_density_is_zero(self):
         rng = np.random.default_rng(15)
@@ -302,9 +366,11 @@ class TestExponentLadder:
         copula = fit_copula(xy)
         with pytest.warns(UserWarning, match="quadrature drift"):
             rich = solve_maxent(copula_fractional_moments(xy, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
-        # integrated on a grid other than the solver's
+        # integrated on grids other than the solver's; the spike is narrow
+        # and, where it falls on the flat dual, can slip between the nodes
+        # of a coarse rule too, so the rich fit is integrated finely
         assert copula_integral(copula, lambda u, v: 1.0) == pytest.approx(1.0, abs=1e-3)
-        assert abs(copula_integral(rich, lambda u, v: 1.0) - 1.0) > 0.5
+        assert abs(copula_integral(rich, lambda u, v: 1.0, n=400) - 1.0) > 0.5
 
     def test_copula_margins_match_the_ranks(self):
         rng = np.random.default_rng(22)
@@ -318,6 +384,37 @@ class TestExponentLadder:
             rank_moment = np.mean((np.arange(1, n + 1) / n) ** (r + s))
             got = copula_integral(copula, lambda u, v, r=r, s=s: u ** r * v ** s)
             assert got == pytest.approx(rank_moment, abs=1e-5)
+
+
+# Each rung of COPULA_LADDER on toy1_pair(which), as solved by the dense
+# whitened Newton solver this one replaced: delta_index, log normalizer
+# and BIC, and the rung (feature count) the ladder picks.
+DENSE_SOLVER_RUNGS = {
+    1: ([(0.08338296446855968, 2.2911570610822065, -115.88049679046429),
+         (0.08477415364715388, 0.6186114154502942, -68.19231213575927),
+         (0.09118306800520076, 1.9586838002599303, 59.977481160403045)], 15),
+    2: ([(0.47397273981107635, 8.739887163939088, -4198.8986474623525),
+         (0.7333892636066508, -2007.7977197596686, -8943.860517700958),
+         (0.7454898718126919, 3.1381261067213133, -9313.897177841529)], 48),
+}
+
+
+class TestSolverPinned:
+    """The copula solve keeps the estimates of the dense solver it replaced."""
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_ladder_rungs_match_the_dense_solver(self, which):
+        xy = toy1_pair(which)
+        rungs, winner = DENSE_SOLVER_RUNGS[which]
+        for exps, (delta, log_c, bic) in zip(COPULA_LADDER, rungs):
+            c = copula_fractional_moments(xy, exps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                copula = solve_maxent(c)
+            assert delta_index(copula) == pytest.approx(delta, abs=1e-8), exps
+            assert copula.log_normalizer == pytest.approx(log_c, abs=1e-5), exps
+            assert _bic(c, copula) == pytest.approx(bic, abs=1e-3), exps
+        assert len(fit_copula(xy).exponents) == winner
 
 
 class TestRecords:

@@ -17,6 +17,7 @@ from relsense.model import Marginal, builtin_model
 from relsense.oracle import (
     BudgetExhaustedError,
     ReferenceValue,
+    _t1_fy,
     chi2_references,
     rejection_conditioned_sample,
     toy1_references,
@@ -64,6 +65,21 @@ class TestReferenceTables:
         assert toy1_refs["eta_bar_2"].value == 0.0
         assert toy1_refs["sobol_indicator_1"].value == 1.0
         assert toy1_refs["sobol_indicator_2"].value == 0.0
+
+    def test_toy1_output_density_against_convolution(self):
+        # brute-force convolution of the two conditional input laws,
+        # written through scipy's own truncated and scaled normals
+        x1 = stats.truncnorm(3.0, np.inf)
+        x2 = stats.norm(scale=math.sqrt(5.0))
+        ys = np.linspace(3.0, 25.0, 37)
+        brute = [integrate.quad(lambda t: 2.0 * x2.pdf(t) * x1.pdf(y - t), 0.0, y - 3.0,
+                                epsabs=1e-13, limit=200)[0] for y in ys]
+        np.testing.assert_allclose(_t1_fy(ys), brute, rtol=0.0, atol=1e-10)
+        assert _t1_fy(np.array([2.0, 2.999]))[0] == 0.0
+        # beyond y = 40 the mass is below 1e-50
+        mass, err = integrate.quad(lambda y: _t1_fy(y)[0], 3.0, 40.0, limit=200)
+        assert err < 1e-9
+        assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_chi2_probability_cross_check(self, chi2_refs):
         # same event written through the one-degree chi-square law
