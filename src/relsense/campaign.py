@@ -29,6 +29,9 @@ the defaults shown)::
         "final_sample_size": 3000, "final_mh_steps": 5,
         "kernel": {"type": "crank_nicolson", "a": 0.5}
                   or {"type": "random_walk", "step_sds": [...] or "match_input"},
+                                                   # both act on the latent standard
+                                                   # normals; step_sds are in latent
+                                                   # units, and match_input means 1
         "max_levels": 100                          # optional
       },
       "density": {                                 # optional
@@ -335,13 +338,6 @@ def _parse_kernel(sec, input_model, findings):
         if a is not None and a >= 1.0:
             findings.append(f"smc.kernel.a must be < 1, got {a}")
             return None
-        if input_model is not None and not input_model.is_gaussian_vector:
-            bad = next(i for i, m in enumerate(input_model.marginals)
-                       if m.kind != "normal")
-            findings.append(f"smc.kernel: crank_nicolson kernel requires gaussian "
-                            f"inputs, but marginal {bad} is "
-                            f"{input_model.marginals[bad].kind}")
-            return None
         if a is None:
             return None
         return CrankNicolsonKernel(a)
@@ -351,7 +347,7 @@ def _parse_kernel(sec, input_model, findings):
         if sds == "match_input":
             if input_model is None:
                 return None
-            return GaussianRandomWalkKernel.matching_input_sds(input_model)
+            return GaussianRandomWalkKernel((1.0,) * input_model.dimension)
         if not isinstance(sds, list) or not sds:
             findings.append("smc.kernel.step_sds must be 'match_input' or a list")
             return None

@@ -44,7 +44,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 __all__ = [
@@ -173,6 +172,19 @@ def fractional_moments_1d(sample, exponents=DEFAULT_EXPONENTS, *,
                              support=(a, b), shift=shift, sample_size=x.size)
 
 
+def _average_ranks(x):
+    """Ranks ``1..n`` of ``x``, ties sharing their mean rank: the values
+    of ``scipy.stats.rankdata(x, method="average")``, bit for bit (every
+    rank is an integer or a half-integer)."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[first, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2.0, counts)
+    return ranks
+
+
 def copula_fractional_moments(sample_xy, exponents=DEFAULT_EXPONENTS) -> MomentConstraints:
     """Empirical copula moments of a bivariate sample.
 
@@ -196,8 +208,8 @@ def copula_fractional_moments(sample_xy, exponents=DEFAULT_EXPONENTS) -> MomentC
             raise ValueError(f"degenerate sample: column {col} is constant")
     exps = _check_exponents(exponents)
     n = xy.shape[0]
-    u = stats.rankdata(xy[:, 0], method="average") / n
-    v = stats.rankdata(xy[:, 1], method="average") / n
+    u = _average_ranks(xy[:, 0]) / n
+    v = _average_ranks(xy[:, 1]) / n
     margins = tuple((e, 0.0) for e in exps) + tuple((0.0, e) for e in exps)
     pairs = margins + tuple((r, s) for r in exps for s in exps)
     targets = np.array([np.mean(u ** r * v ** s) for r, s in pairs])

@@ -78,15 +78,14 @@ class Marginal:
     ``uniform``
         ``log f = -log b``; ``F = clip(z, 0, 1)``; ``F^-1(u) = u b + a``.
 
-    Support and edge conventions are scipy.stats' to the last bit, and
-    the random-walk kernel relies on them (an off-support candidate has
-    ``logpdf = -inf`` and costs no model call): the lognormal support is
-    ``x > 0``, so ``logpdf`` is ``-inf`` at ``x <= 0``; the uniform support
-    is the closed interval ``0 <= z <= 1``; ``quantile`` is ``nan`` outside
-    ``[0, 1]`` and gives the support ends, ``-inf``/``inf`` (``0`` for the
-    lognormal, ``loc``/``loc + scale`` for the uniform), at ``u = 0, 1``;
-    NaN in gives NaN out.  ``mean()`` and ``sd()`` follow scipy's order of
-    operations, so random-walk steps seeded from them match scipy's.
+    Support and edge conventions are scipy.stats' to the last bit: the
+    lognormal support is ``x > 0``, so ``logpdf`` is ``-inf`` at
+    ``x <= 0``; the uniform support is the closed interval
+    ``0 <= z <= 1``; ``quantile`` is ``nan`` outside ``[0, 1]`` and gives
+    the support ends, ``-inf``/``inf`` (``0`` for the lognormal,
+    ``loc``/``loc + scale`` for the uniform), at ``u = 0, 1``; NaN in
+    gives NaN out.  ``mean()`` and ``sd()`` follow scipy's order of
+    operations.
     """
 
     kind: str
@@ -185,19 +184,40 @@ class Marginal:
 
 @dataclass(frozen=True)
 class InputModel:
-    """Joint law of the input vector.
+    """Joint law of the input vector, as a map from latent standard normals.
 
     ``dependence`` is either ``"independent"`` or ``"gaussian"``.  In the
     gaussian case the coupling is a Gaussian copula whose correlation is
     read off ``covariance`` (off-diagonal entries scaled by the diagonal);
     with all-normal marginals this is exactly the multivariate normal
     with that covariance.
+
+    Every input vector is ``x = T(u)`` for a latent vector ``u`` of
+    independent standard normals (:meth:`from_latent`).  ``T`` first
+    applies the Cholesky factor of the copula correlation, ``z = L u``
+    (``z = u`` for independent inputs), then maps each coordinate by its
+    kind: ``loc + scale * z`` for a normal, ``exp(loc + scale * z)`` for
+    a lognormal (directly, so nothing rounds through ``ndtr`` in the
+    tail) and ``loc + scale * ndtr(z)`` for a uniform.  The splitting
+    sampler moves ``u``; the model only ever sees ``x``.
+
+    :meth:`sample` is ``T`` applied to standard normal draws.  For
+    independent inputs the draws fill one column after the other, as
+    :meth:`Marginal.sample` draws them, so normal and lognormal columns
+    are bit-identical to drawing each marginal in turn from the same
+    generator.
     """
 
     marginals: tuple[Marginal, ...]
     dependence: str = "independent"
     covariance: np.ndarray | None = None
     _correlation_chol: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # What ``T`` needs, built once: per-coordinate ``loc`` and ``scale``,
+    # the lognormal column mask and the uniform column indices.
+    _locs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _scales: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _lognormal: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _uniform_cols: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         marginals = tuple(self.marginals)
@@ -227,41 +247,35 @@ class InputModel:
             object.__setattr__(self, "_correlation_chol", chol)
         elif self.covariance is not None:
             raise ValueError("covariance is only meaningful with gaussian dependence")
+        kinds = np.array([m.kind for m in marginals])
+        object.__setattr__(self, "_locs", np.array([m.loc for m in marginals]))
+        object.__setattr__(self, "_scales", np.array([m.scale for m in marginals]))
+        object.__setattr__(self, "_lognormal", kinds == "lognormal")
+        object.__setattr__(self, "_uniform_cols", np.flatnonzero(kinds == "uniform"))
 
     @property
     def dimension(self) -> int:
         return len(self.marginals)
 
-    @property
-    def is_gaussian_vector(self) -> bool:
-        """True when the joint law is multivariate normal."""
-        return all(m.kind == "normal" for m in self.marginals)
+    def from_latent(self, u: np.ndarray) -> np.ndarray:
+        """``x = T(u)`` for each row of the ``(n, d)`` latent array ``u``."""
+        z = u if self._correlation_chol is None else u @ self._correlation_chol.T
+        x = self._locs + self._scales * z
+        if self._lognormal.any():
+            np.exp(x, out=x, where=self._lognormal)
+        if self._uniform_cols.size:
+            cols = self._uniform_cols
+            x[:, cols] = self._locs[cols] + self._scales[cols] * ndtr(z[:, cols])
+        return x
 
-    def mean_vector(self) -> np.ndarray:
-        return np.array([m.loc if m.kind == "normal" else m.mean() for m in self.marginals])
-
-    def gaussian_cholesky(self) -> np.ndarray:
-        """Cholesky factor of the joint covariance for a Gaussian vector."""
-        if not self.is_gaussian_vector:
-            raise ValueError("input model is not jointly Gaussian")
-        scales = np.array([m.scale for m in self.marginals])
+    def sample_latent(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` latent standard normal rows, in :meth:`sample`'s draw order."""
         if self.dependence == "independent":
-            return np.diag(scales)
-        return scales[:, None] * self._correlation_chol
+            return rng.standard_normal((self.dimension, n)).T
+        return rng.standard_normal((n, self.dimension))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dimension
-        if self.dependence == "independent":
-            cols = [m.sample(n, rng) for m in self.marginals]
-            return np.column_stack(cols)
-        z = rng.standard_normal((n, d)) @ self._correlation_chol.T
-        if self.is_gaussian_vector:
-            scales = np.array([m.scale for m in self.marginals])
-            locs = np.array([m.loc for m in self.marginals])
-            return locs + scales * z
-        u = ndtr(z)
-        cols = [m.quantile(u[:, i]) for i, m in enumerate(self.marginals)]
-        return np.column_stack(cols)
+        return self.from_latent(self.sample_latent(n, rng))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Joint log density at each row of ``x`` (``-inf`` off-support)."""

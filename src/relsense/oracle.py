@@ -19,6 +19,11 @@ Every other integral uses composite Simpson rules on tensor grids whose
 sizes scale with ``refine``, so doubling it checks convergence; kinks
 from absolute values and truncation edges are handled by splitting at
 the known edge locations where possible and by grid density elsewhere.
+
+The normal law is written with ``scipy.special.ndtr`` (``sf(x)`` is
+``ndtr(-x)``) and the closed-form density, which round exactly as
+``scipy.stats.norm`` does; ``scipy.integrate`` is imported only when a
+reference is computed.  Importing this module therefore loads neither.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import BlackBox, FailureEvent, InputModel
 
@@ -96,9 +100,16 @@ _T1_Y_HI = 34.0      # requires |x2| > 25, mass ~1e-29
 
 
 def _phi(x):
-    """Standard normal density; ``norm.pdf`` costs twice as much on the
-    million-point grids of the toy1 quadrature."""
+    """Standard normal density, bit for bit ``scipy.stats.norm.pdf`` at a
+    fraction of its cost on the million-point grids of the quadrature."""
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def _simpson(*args, **kwargs):
+    """``scipy.integrate.simpson``, imported on first use."""
+    from scipy.integrate import simpson
+
+    return simpson(*args, **kwargs)
 
 
 def _t1_f1c(x):
@@ -108,7 +119,7 @@ def _t1_f1c(x):
     truncation point exactly, where the density's limit value applies.
     """
     x = np.asarray(x, dtype=float)
-    return np.where(x >= _T1_S, _phi(x) / norm.sf(_T1_S), 0.0)
+    return np.where(x >= _T1_S, _phi(x) / ndtr(-_T1_S), 0.0)
 
 
 def _t1_fabs2(t):
@@ -133,8 +144,8 @@ def _t1_fy(y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = np.sqrt(5.0 / 6.0)
     root6 = np.sqrt(6.0)
-    window = norm.cdf((y / 6.0 - _T1_S) / s) - norm.cdf(-(5.0 * y / 6.0) / s)
-    dens = 2.0 * norm.pdf(y / root6) / root6 * window / norm.sf(_T1_S)
+    window = ndtr((y / 6.0 - _T1_S) / s) - ndtr(-(5.0 * y / 6.0) / s)
+    dens = 2.0 * _phi(y / root6) / root6 * window / ndtr(-_T1_S)
     return np.where(y >= _T1_S, dens, 0.0)
 
 
@@ -163,9 +174,9 @@ def _t1_delta_f(which, fy_spline, fy_cdf, n_outer=513, n_tau=2049):
     span = _T1_Y_HI - edges
     y = edges[:, None] + span[:, None] * tau[None, :]
     mism = np.abs(sliding(y - shifts[:, None]) - fy_spline(y))
-    above = span * integrate.simpson(mism, x=tau, axis=1)
+    above = span * _simpson(mism, x=tau, axis=1)
     inner = 0.5 * (below + above)
-    return float(integrate.simpson(weights * inner, x=shifts))
+    return float(_simpson(weights * inner, x=shifts))
 
 
 def toy1_references(refine=1) -> list[ReferenceValue]:
@@ -180,8 +191,8 @@ def toy1_references(refine=1) -> list[ReferenceValue]:
     if refine < 1:
         raise ValueError("refine must be at least 1")
     k = int(refine)
-    p_f = float(norm.sf(_T1_S))
-    eta1 = float(norm.cdf(_T1_S))
+    p_f = float(ndtr(-_T1_S))
+    eta1 = float(ndtr(_T1_S))
     from scipy.interpolate import CubicSpline
     ys = np.linspace(_T1_S, _T1_Y_HI, 8192 * k + 1)
     fy_spline = CubicSpline(ys, _t1_fy(ys))
@@ -225,8 +236,8 @@ def _c2_fy(y, n_inner=2049):
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = np.linspace(0.0, 8.0, n_inner)
-    vals = 2.0 * norm.pdf(s)[None, :] * norm.pdf(y[:, None] - (s * s)[None, :])
-    return integrate.simpson(vals, x=s, axis=1)
+    vals = 2.0 * _phi(s)[None, :] * _phi(y[:, None] - (s * s)[None, :])
+    return _simpson(vals, x=s, axis=1)
 
 
 def _c2_surv1(x):
@@ -234,13 +245,13 @@ def _c2_surv1(x):
     x = np.asarray(x, dtype=float)
     gap = _C2_S - x
     return np.where(gap > 0.0,
-                    2.0 * norm.sf(np.sqrt(np.maximum(gap, 1e-300))), 1.0)
+                    2.0 * ndtr(-np.sqrt(np.maximum(gap, 1e-300))), 1.0)
 
 
 def _c2_surv2(x2):
     """Failure probability given the second input."""
     x2 = np.asarray(x2, dtype=float)
-    return norm.sf(_C2_S - x2 * x2)
+    return ndtr(x2 * x2 - _C2_S)
 
 
 # Outer-axis split points.  The conditional failure probability given
@@ -256,7 +267,7 @@ def _region_simpson(point_fn, edges, n_per_region):
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         xs = np.linspace(a, b, n_per_region)
-        total += float(integrate.simpson(point_fn(xs), x=xs))
+        total += float(_simpson(point_fn(xs), x=xs))
     return total
 
 
@@ -268,17 +279,19 @@ def _c2_delta1(fy_grid, ys, edges, n_outer):
     integrand is bounded: |f_{Y|X1} - f_Y| dy becomes
     |2 phi(s) - 2 s f_Y(x + s^2)| ds.
     """
-    cdf = integrate.cumulative_simpson(fy_grid, x=ys, initial=0.0)
+    from scipy.integrate import cumulative_simpson
+
+    cdf = cumulative_simpson(fy_grid, x=ys, initial=0.0)
     s = np.linspace(0.0, 8.0, 2049)
 
     def point(xs):
         y_at = xs[:, None] + (s * s)[None, :]
         fy_at = np.interp(y_at, ys, fy_grid, left=0.0, right=0.0)
-        body = integrate.simpson(
-            np.abs(2.0 * norm.pdf(s)[None, :] - 2.0 * s[None, :] * fy_at),
+        body = _simpson(
+            np.abs(2.0 * _phi(s)[None, :] - 2.0 * s[None, :] * fy_at),
             x=s, axis=1)
         below = np.interp(xs, ys, cdf)
-        return 0.5 * (body + below) * norm.pdf(xs)
+        return 0.5 * (body + below) * _phi(xs)
 
     return _region_simpson(point, edges, n_outer)
 
@@ -287,10 +300,10 @@ def _c2_delta2(fy_grid, ys, edges, n_outer):
     """Unconditional output-dependence of the second input."""
 
     def point(ts):
-        shifted = norm.pdf(ys[None, :] - (ts * ts)[:, None])
-        inner = 0.5 * integrate.simpson(np.abs(shifted - fy_grid[None, :]),
+        shifted = _phi(ys[None, :] - (ts * ts)[:, None])
+        inner = 0.5 * _simpson(np.abs(shifted - fy_grid[None, :]),
                                         x=ys, axis=1)
-        return 2.0 * norm.pdf(ts) * inner
+        return 2.0 * _phi(ts) * inner
 
     return _region_simpson(point, edges, n_outer)
 
@@ -305,8 +318,8 @@ def _c2_delta_f1(fy_grid, ys, p_f, edges, n_outer):
         gap = yc[None, :] - xs[:, None]
         chi = np.exp(-0.5 * gap) / np.sqrt(2.0 * np.pi * gap)
         mism = np.abs(chi - (_c2_surv1(xs)[:, None] / p_f) * fyc[None, :])
-        inner = 0.5 * integrate.simpson(mism, x=yc, axis=1) / p_f
-        return norm.pdf(xs) * inner
+        inner = 0.5 * _simpson(mism, x=yc, axis=1) / p_f
+        return _phi(xs) * inner
 
     return _region_simpson(point, edges, n_outer)
 
@@ -318,10 +331,10 @@ def _c2_delta_f2(fy_grid, ys, p_f, edges, n_outer):
     fyc = fy_grid[mask]
 
     def point(ts):
-        shifted = norm.pdf(yc[None, :] - (ts * ts)[:, None])
+        shifted = _phi(yc[None, :] - (ts * ts)[:, None])
         mism = np.abs(shifted - (_c2_surv2(ts)[:, None] / p_f) * fyc[None, :])
-        inner = 0.5 * integrate.simpson(mism, x=yc, axis=1) / p_f
-        return 2.0 * norm.pdf(ts) * inner
+        inner = 0.5 * _simpson(mism, x=yc, axis=1) / p_f
+        return 2.0 * _phi(ts) * inner
 
     return _region_simpson(point, edges, n_outer)
 
@@ -333,9 +346,11 @@ def chi2_references(refine=1) -> list[ReferenceValue]:
     convergence."""
     if refine < 1:
         raise ValueError("refine must be at least 1")
+    from scipy.integrate import quad
+
     k = int(refine)
-    p_f, _ = integrate.quad(
-        lambda z: norm.pdf(z) * norm.sf(_C2_S - z * z),
+    p_f, _ = quad(
+        lambda z: _phi(z) * ndtr(z * z - _C2_S),
         -np.inf, np.inf, limit=400)
     p_f = float(p_f)
 
@@ -346,8 +361,8 @@ def chi2_references(refine=1) -> list[ReferenceValue]:
     n_outer = 512 * k + 1
     ys = np.linspace(_C2_Y_LO, _C2_Y_HI, n_y)
     fy = _c2_fy(ys, n_inner=2048 * k + 1)
-    mass = float(integrate.simpson(fy, x=ys))
-    cond_mass = float(integrate.simpson(fy[ys >= _C2_S], x=ys[ys >= _C2_S]))
+    mass = float(_simpson(fy, x=ys))
+    cond_mass = float(_simpson(fy[ys >= _C2_S], x=ys[ys >= _C2_S]))
     if abs(mass - 1.0) > 5e-6 or abs(cond_mass / p_f - 1.0) > 1e-4:
         raise OracleError(
             f"output density integrates to {mass:.8f} "
@@ -360,15 +375,15 @@ def chi2_references(refine=1) -> list[ReferenceValue]:
     delta_f2 = _c2_delta_f2(fy, ys, p_f, _C2_T_EDGES, n_outer)
 
     eta1 = _region_simpson(
-        lambda x: 0.5 * np.abs(norm.pdf(x) * (1.0 - _c2_surv1(x) / p_f)),
+        lambda x: 0.5 * np.abs(_phi(x) * (1.0 - _c2_surv1(x) / p_f)),
         _C2_X_EDGES, n_outer)
     eta2 = _region_simpson(
-        lambda t: np.abs(norm.pdf(t) * (1.0 - _c2_surv2(t) / p_f)),
+        lambda t: np.abs(_phi(t) * (1.0 - _c2_surv2(t) / p_f)),
         _C2_T_EDGES, n_outer)
 
-    e_h1_sq = _region_simpson(lambda x: norm.pdf(x) * _c2_surv1(x) ** 2,
+    e_h1_sq = _region_simpson(lambda x: _phi(x) * _c2_surv1(x) ** 2,
                               _C2_X_EDGES, n_outer)
-    e_h2_sq = _region_simpson(lambda t: 2.0 * norm.pdf(t) * _c2_surv2(t) ** 2,
+    e_h2_sq = _region_simpson(lambda t: 2.0 * _phi(t) * _c2_surv2(t) ** 2,
                               _C2_T_EDGES, n_outer)
     denom = p_f * (1.0 - p_f)
     s1 = (e_h1_sq - p_f * p_f) / denom

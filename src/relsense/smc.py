@@ -1,5 +1,13 @@
 """Adaptive multilevel splitting for rare events, with a final sampling pass.
 
+The sampler works in latent standard-normal coordinates: every particle
+is a vector ``u`` of independent standard normals, and the black box is
+evaluated at the input ``x = T(u)`` of :meth:`InputModel.from_latent`.
+The input law is then the same standard normal whatever the marginals
+and the copula, so both proposals need nothing of the input model but
+``T``: the random walk's density ratio is ``exp((|u|**2 - |u'|**2) / 2)``
+and Crank-Nicolson proposes ``sqrt(1 - a) u + sqrt(a) z``.
+
 The probability phase tracks a cloud of ``n_particles`` inputs through an
 adaptive ladder of intermediate levels: at each level the lower
 ``rho``-quantile of the current outputs becomes the next threshold, the
@@ -15,12 +23,11 @@ applies ``final_mh_steps`` more transitions of the last adapted kernel
 targeting the failure region itself, producing an (approximately
 independent) conditioned sample for the sensitivity estimators.
 
-Call accounting is exact: the probability phase costs
+Call accounting is exact for both kernels: the probability phase costs
 ``n_particles * (1 + n_levels * mutation_steps)`` model calls and the
 sampling phase ``final_sample_size * final_mh_steps``, both verified
-against the black-box counter.  (The only exception is a random-walk
-candidate falling outside the input support, which is rejected without
-spending a call; with fully supported inputs the identity is exact.)
+against the black-box counter.  No latent candidate lies outside the
+input support, so every candidate costs exactly one call.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "SmcResult",
     "run_adaptive_smc",
     "adapt_kernel",
-    "mh_step",
     "final_sampling",
 ]
 
@@ -67,12 +73,12 @@ class SmcError(RuntimeError):
 
 @dataclass(frozen=True)
 class CrankNicolsonKernel:
-    """Autoregressive Gaussian proposal for jointly Gaussian inputs.
+    """Autoregressive Gaussian proposal in latent coordinates.
 
-    A candidate is ``mean + sqrt(1-a) * (x - mean) + sqrt(a) * L @ z`` with
-    ``z`` standard normal and ``L`` the Cholesky factor of the input
-    covariance.  The proposal is reversible for the unrestricted input
-    law, so the acceptance rule reduces to the level indicator.
+    A candidate is ``sqrt(1-a) * u + sqrt(a) * z`` with ``z`` standard
+    normal, for any input model.  The proposal is reversible for the
+    latent standard normal law, so the acceptance rule reduces to the
+    level indicator.
     """
 
     a: float
@@ -84,11 +90,13 @@ class CrankNicolsonKernel:
 
 @dataclass(frozen=True)
 class GaussianRandomWalkKernel:
-    """Symmetric random-walk proposal for general marginals.
+    """Symmetric random-walk proposal in latent coordinates.
 
     A candidate adds centered Gaussian noise with per-coordinate standard
-    deviations ``step_sds``; the acceptance rule uses the full input
-    density ratio times the level indicator.
+    deviations ``step_sds`` (latent units, so ``1`` is one standard
+    deviation of every input) to ``u``; the acceptance rule uses the
+    latent density ratio ``exp((|u|**2 - |u'|**2) / 2)`` times the level
+    indicator.
     """
 
     step_sds: tuple[float, ...]
@@ -98,11 +106,6 @@ class GaussianRandomWalkKernel:
         object.__setattr__(self, "step_sds", sds)
         if any(not np.isfinite(s) or s <= 0 for s in sds):
             raise ValueError("step_sds must all be strictly positive")
-
-    @classmethod
-    def matching_input_sds(cls, model: InputModel) -> "GaussianRandomWalkKernel":
-        """Step sizes equal to the input standard deviations."""
-        return cls(tuple(m.sd() for m in model.marginals))
 
 
 Kernel = CrankNicolsonKernel | GaussianRandomWalkKernel
@@ -195,101 +198,78 @@ class SmcResult:
             object.__setattr__(self, name, arr)
 
 
-def _kernel_matrices(kernel: Kernel, model: InputModel):
-    """Precompute what the proposal needs; validates kernel/model pairing."""
-    if isinstance(kernel, CrankNicolsonKernel):
-        if not model.is_gaussian_vector:
-            raise SmcError("crank_nicolson kernel requires jointly Gaussian inputs "
-                           "(all-normal marginals); use gaussian_random_walk instead")
-        return model.mean_vector(), model.gaussian_cholesky()
-    sds = np.asarray(kernel.step_sds, dtype=float)
-    if sds.shape[0] != model.dimension:
-        raise SmcError(f"step_sds has length {sds.shape[0]} but the input has "
-                       f"dimension {model.dimension}")
-    return sds, None
+def _check_kernel(kernel: Kernel, dimension: int):
+    if isinstance(kernel, GaussianRandomWalkKernel) and len(kernel.step_sds) != dimension:
+        raise SmcError(f"step_sds has length {len(kernel.step_sds)} but the input has "
+                       f"dimension {dimension}")
 
 
-def _chain_sweep(x, y, gamma, steps, box, model, kernel, rng, mats):
-    """Advance every row of ``x`` by ``steps`` MH transitions targeting
-    the input law restricted to ``{M > gamma}``.  Returns the moved
-    cloud, its outputs and the observed acceptance rate."""
-    n, d = x.shape
-    x = x.copy()
-    y = y.copy()
+def _chain_sweep(u, y, gamma, steps, box, model, kernel, rng):
+    """Advance every latent row of ``u`` by ``steps`` MH transitions
+    targeting the standard normal law restricted to ``{M(T(u)) > gamma}``.
+    Returns the moved rows, their outputs and the observed acceptance
+    rate."""
+    n, d = u.shape
+    _check_kernel(kernel, d)
+    u, y = u.copy(), y.copy()
     accepted = 0
     cn = isinstance(kernel, CrankNicolsonKernel)
-    if not cn:
-        cur_logf = model.log_density(x)
+    if cn:
+        keep, mix = math.sqrt(1.0 - kernel.a), math.sqrt(kernel.a)
+        log_ratio = 0.0
+    else:
+        sds = np.asarray(kernel.step_sds)
+        half_sq = 0.5 * np.einsum("ij,ij->i", u, u)
     for _ in range(steps):
         z = rng.standard_normal((n, d))
-        u = rng.random(n)
+        r = rng.random(n)
         if cn:
-            mean, chol = mats
-            cand = mean + math.sqrt(1.0 - kernel.a) * (x - mean) + math.sqrt(kernel.a) * (z @ chol.T)
-            in_support = np.ones(n, dtype=bool)
-            log_ratio = np.zeros(n)
+            cand = keep * u + mix * z
         else:
-            sds, _ = mats
-            cand = x + z * sds
-            cand_logf = model.log_density(cand)
-            in_support = np.isfinite(cand_logf)
-            log_ratio = np.where(in_support, cand_logf - cur_logf, -np.inf)
-        y_cand = np.full(n, -np.inf)
-        if np.any(in_support):
-            y_cand[in_support] = box.evaluate_batch(cand[in_support])
-        accept = in_support & (y_cand > gamma) & (np.log(np.maximum(u, 1e-300)) <= log_ratio)
-        x[accept] = cand[accept]
+            cand = u + z * sds
+            cand_half_sq = 0.5 * np.einsum("ij,ij->i", cand, cand)
+            log_ratio = half_sq - cand_half_sq
+        y_cand = box.evaluate_batch(model.from_latent(cand))
+        accept = (y_cand > gamma) & (np.log(np.maximum(r, 1e-300)) <= log_ratio)
+        u[accept] = cand[accept]
         y[accept] = y_cand[accept]
         if not cn:
-            cur_logf[accept] = cand_logf[accept]
+            half_sq[accept] = cand_half_sq[accept]
         accepted += int(np.count_nonzero(accept))
-    return x, y, accepted / float(n * steps) if steps > 0 else float("nan")
+    return u, y, accepted / float(n * steps) if steps > 0 else float("nan")
 
 
-def mh_step(x, gamma, blackbox, input_model, kernel, rng):
-    """One MH transition of a single state targeting ``X | M(X) > gamma``.
-
-    Returns ``(x_next, accepted)``; on rejection ``x_next`` is ``x``
-    itself.  The candidate costs exactly one model call (skipped only
-    when it falls outside the input support, where rejection is certain).
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    mats = _kernel_matrices(kernel, input_model)
-    # The current output is not needed: acceptance only compares the
-    # candidate's output with the level.
-    y0 = np.array([np.inf])
-    x1, _, rate = _chain_sweep(x, y0, gamma, 1, blackbox, input_model, kernel, rng, mats)
-    accepted = rate > 0
-    return x1[0], bool(accepted)
-
-
-def final_sampling(survivors_x, survivors_y, blackbox, input_model, event,
+def final_sampling(survivors_u, survivors_y, blackbox, input_model, event,
                    n_sample, n_steps, kernel, rng):
     """Grow a conditioned sample of size ``n_sample`` from the survivors.
 
-    The survivors are first restricted to ``{Y > threshold}``, duplicated
-    uniformly with replacement, then moved by ``n_steps`` MH transitions
-    targeting the failure region.  With ``n_steps = 0`` the duplicated
-    rows are returned verbatim.
+    ``survivors_u`` are latent rows (see :meth:`InputModel.from_latent`)
+    and ``survivors_y`` their outputs.  The survivors are first
+    restricted to ``{Y > threshold}``, duplicated uniformly with
+    replacement, then moved by ``n_steps`` MH transitions targeting the
+    failure region.  Returns the inputs ``x = T(u)``, their outputs and
+    the acceptance rate; with ``n_steps = 0`` the duplicated rows are
+    returned unmoved and the rate is ``None``.  ``T`` maps each row on its
+    own, so every returned ``x`` is bit for bit the input its output was
+    computed at.
     """
-    survivors_x = np.atleast_2d(np.asarray(survivors_x, dtype=float))
+    survivors_u = np.atleast_2d(np.asarray(survivors_u, dtype=float))
     survivors_y = np.asarray(survivors_y, dtype=float).reshape(-1)
     keep = survivors_y > event.threshold
     if not np.any(keep):
         raise SmcError("empty survivor set above the failure threshold; "
                        "cannot start the sampling phase")
-    pool_x = survivors_x[keep]
+    pool_u = survivors_u[keep]
     pool_y = survivors_y[keep]
-    mats = _kernel_matrices(kernel, input_model)
-    idx = rng.integers(0, pool_x.shape[0], size=int(n_sample))
-    x = pool_x[idx]
+    idx = rng.integers(0, pool_u.shape[0], size=int(n_sample))
+    u = pool_u[idx]
     y = pool_y[idx]
     if n_steps > 0:
-        x, y, rate = _chain_sweep(x, y, event.threshold, int(n_steps),
-                                  blackbox, input_model, kernel, rng, mats)
+        u, y, rate = _chain_sweep(u, y, event.threshold, int(n_steps),
+                                  blackbox, input_model, kernel, rng)
     else:
         rate = None
-    return x, y, rate
+    return input_model.from_latent(u), y, rate
 
 
 def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
@@ -303,14 +283,14 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
     if blackbox.dimension != input_model.dimension:
         raise ValueError("black box and input model disagree on the dimension")
     kernel = params.kernel
-    mats = _kernel_matrices(kernel, input_model)
+    _check_kernel(kernel, input_model.dimension)
     n_x = params.n_particles
     s = event.threshold
     k_rank = math.ceil(params.rho * n_x)
 
     calls_before = blackbox.call_count
-    x = input_model.sample(n_x, stream(params.seed, _INIT))
-    y = blackbox.evaluate_batch(x)
+    u = input_model.sample_latent(n_x, stream(params.seed, _INIT))
+    y = blackbox.evaluate_batch(input_model.from_latent(u))
 
     levels: list[float] = []
     fractions: list[float] = []
@@ -338,8 +318,8 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
         fractions.append(surv.size / n_x)
         rng_level = stream(params.seed, _LEVEL, p)
         idx = rng_level.integers(0, surv.size, size=n_x)
-        x, y, rate = _chain_sweep(x[surv][idx], y[surv][idx], gamma, params.mutation_steps,
-                                  blackbox, input_model, kernel, rng_level, mats)
+        u, y, rate = _chain_sweep(u[surv][idx], y[surv][idx], gamma, params.mutation_steps,
+                                  blackbox, input_model, kernel, rng_level)
         acceptance.append(rate)
         tunable.append(p > 0 and not (isinstance(kernel, CrankNicolsonKernel)
                                       and kernel.a >= _CN_MAX_A
@@ -349,7 +329,6 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
                            f"(gamma={gamma}); the kernel step is too large or the region "
                            "is disconnected")
         kernel = adapt_kernel(kernel, rate)
-        mats = _kernel_matrices(kernel, input_model)
     n_levels = len(levels) - 1
     calls_probability = blackbox.call_count - calls_before
 
@@ -364,7 +343,7 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
 
     p_f_hat = float(np.prod(fractions) * (np.count_nonzero(y > s) / n_x))
 
-    cs, co, final_rate = final_sampling(x, y, blackbox, input_model, event,
+    cs, co, final_rate = final_sampling(u, y, blackbox, input_model, event,
                                         params.final_sample_size, params.final_mh_steps,
                                         kernel, stream(params.seed, _FINAL))
     calls_sampling = blackbox.call_count - calls_before - calls_probability

@@ -7,6 +7,8 @@ assertion message states the measured value and what is known of the
 cause rather than widening the window.
 """
 
+import math
+
 import numpy as np
 
 from relsense.campaign import parse_config, run_campaign, run_replication
@@ -130,6 +132,38 @@ def test_criterion_2_chi_square_benchmark():
     c.conclude()
 
 
+def oscillator_importance_sampling(seed=2019, n=200_000):
+    """Design-point importance sampling of the oscillator's ``p_f``.
+
+    In latent coordinates ``x = exp(mu + sigma * u)`` the most likely
+    failure point ``u*`` is the point of the limit state nearest the
+    origin (SLSQP from a fixed start); the estimate averages
+    ``1{failure} * phi(u) / phi(u - u*)`` over ``n`` draws of
+    ``N(u*, I)``.  Any shift keeps it unbiased, so a search stopping
+    short of the optimum only widens the standard error.  Returns
+    ``(p, relative standard error)``.
+    """
+    from scipy.optimize import minimize
+
+    box, inputs, event = builtin_model("sdof_oscillator")
+    mu = np.array([m.loc for m in inputs.marginals])
+    sigma = np.array([m.scale for m in inputs.marginals])
+
+    def margin(u):
+        return box.evaluate_batch(np.exp(mu + sigma * np.atleast_2d(u))) - event.threshold
+
+    start = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 6.0])
+    res = minimize(lambda u: 0.5 * u @ u, start, jac=lambda u: u, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda u: margin(u)[0]}],
+                   options={"maxiter": 500, "ftol": 1e-10})
+    u_star = res.x
+    assert abs(margin(u_star)[0]) < 1e-3, f"design point search failed: {res.message}"
+    u = u_star + np.random.default_rng(seed).standard_normal((n, u_star.size))
+    w = np.exp(0.5 * u_star @ u_star - u @ u_star) * (margin(u) > 0.0)
+    p = float(w.mean())
+    return p, float(w.std(ddof=1) / math.sqrt(n)) / p
+
+
 def test_criterion_3_oscillator_rankings():
     raw = {
         "model": {"builtin": "sdof_oscillator"},
@@ -155,6 +189,16 @@ def test_criterion_3_oscillator_rankings():
 
     n = report.indices.n_replications
     c = Checker("criterion 3")
+
+    # The mean log estimate against importance sampling, within five
+    # standard errors: the replications' own spread and the reference's.
+    p_is, is_rel_se = oscillator_importance_sampling()
+    logs = np.log(report.p_f_per_replication)
+    se = math.sqrt(logs.var(ddof=1) / n + is_rel_se ** 2)
+    gap = logs.mean() - math.log(p_is)
+    c.check("mean log p_f_hat vs importance sampling", abs(gap) <= 5.0 * se,
+            f"mean p_f_hat {math.exp(logs.mean()):.4g} (geometric) against "
+            f"{p_is:.4g}: log gap {gap:.3g}, 5 standard errors {5.0 * se:.3g}")
 
     def vote_check(title, fam, predicate, note=""):
         v = votes(fam, predicate)

@@ -130,9 +130,10 @@ class TestValidation:
                     "kernel": {"type": "crank_nicolson", "a": 0.5}},
             "replications": 1,
         }
-        findings = validate_config(raw)
-        assert ("smc.kernel: crank_nicolson kernel requires gaussian inputs, "
-                "but marginal 0 is lognormal") in findings
+        # Crank-Nicolson moves the latent standard normals, so any input
+        # model is valid
+        assert validate_config(raw) == []
+        assert parse_config(raw).smc.kernel == CrankNicolsonKernel(0.5)
 
     def test_builtin_dimension_override_mismatch(self, small_toy1_config):
         small_toy1_config["inputs"] = {
@@ -325,7 +326,8 @@ class TestValidation:
         raw["smc"]["kernel"] = {"type": "random_walk", "step_sds": "match_input"}
         config = parse_config(raw)
         assert isinstance(config.smc.kernel, GaussianRandomWalkKernel)
-        assert config.smc.kernel.step_sds == (165.0, 3.7, 0.001, 0.0018, 70.0, 0.1)
+        # match_input means latent steps of one input standard deviation
+        assert config.smc.kernel.step_sds == (1.0,) * 6
 
 
 class TestReplicationSeeds:

@@ -1,0 +1,58 @@
+"""Start-up cost: a campaign process imports only what it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import relsense
+
+# What the package exported before the oracle was loaded lazily; every
+# name must still resolve as an attribute of the package.
+EXPORTS = (
+    "BlackBox", "EvaluationError", "FailureEvent", "InputModel", "Marginal",
+    "builtin_model", "sample_input", "ExternalBlackBox", "external_blackbox",
+    "REPLICATION", "seed_sequence", "stream", "CrankNicolsonKernel",
+    "GaussianRandomWalkKernel", "SmcError", "SmcParams", "SmcResult",
+    "final_sampling", "run_adaptive_smc", "DEFAULT_EXPONENTS",
+    "InfeasibleConstraintsError", "MaxEntCopula", "MaxEntDensity", "MaxEntError",
+    "MomentConstraints", "copula_fractional_moments", "dual_objective",
+    "fit_copula", "fit_density", "fractional_moments_1d", "solve_maxent",
+    "DivergenceSpec", "EstimationError", "IndexReport", "WeightFunction",
+    "aggregate_replications", "clip_unit", "csiszar_indices",
+    "csiszar_marginal_index", "delta_from_sample", "delta_index",
+    "rank_descending", "scaled_target_index", "sobol_indicator_index",
+    "target_tv_index", "BudgetExhaustedError", "OracleError", "ReferenceValue",
+    "RejectionSample", "chi2_references", "rejection_conditioned_sample",
+    "toy1_references", "CampaignConfig", "CampaignReport", "CampaignRuntimeError",
+    "ConfigError", "load_config", "parse_config", "run_campaign",
+    "run_replication", "validate_config", "write_outputs",
+)
+
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+PROBE = f"""
+import json, sys
+import relsense, relsense.cli, relsense.oracle
+loaded = [m for m in {HEAVY!r} if m in sys.modules]
+missing = [n for n in {EXPORTS!r} if not hasattr(relsense, n)]
+print(json.dumps({{"loaded": loaded, "missing": missing}}))
+"""
+
+
+def test_package_import_loads_no_stats_integrate_or_optimize():
+    src = str(Path(relsense.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"loaded": [], "missing": []}
+
+
+def test_oracle_names_resolve_to_the_oracle_module():
+    from relsense import oracle
+
+    assert relsense.toy1_references is oracle.toy1_references
+    assert relsense.OracleError is oracle.OracleError

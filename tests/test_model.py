@@ -87,6 +87,68 @@ class TestSampling:
         # every lognormal coordinate stays positive
         assert np.all(x > 0.0)
 
+    @pytest.mark.parametrize("name", ["toy1", "additive_chi2", "sdof_oscillator"])
+    def test_independent_draws_fill_one_column_after_another(self, name):
+        _, model, _ = builtin_model(name)
+        rng = np.random.default_rng(17)
+        expected = np.column_stack([m.sample(300, rng) for m in model.marginals])
+        np.testing.assert_array_equal(model.sample(300, np.random.default_rng(17)), expected)
+
+
+class TestLatentMap:
+    def test_each_kind(self):
+        model = InputModel((Marginal("normal", 1.0, 2.0), Marginal("lognormal", 0.5, 0.3),
+                            Marginal("uniform", -1.0, 4.0)))
+        u = np.random.default_rng(2).standard_normal((500, 3))
+        x = model.from_latent(u)
+        np.testing.assert_array_equal(x[:, 0], 1.0 + 2.0 * u[:, 0])
+        np.testing.assert_array_equal(x[:, 1], np.exp(0.5 + 0.3 * u[:, 1]))
+        np.testing.assert_array_equal(x[:, 2], -1.0 + 4.0 * stats.norm.cdf(u[:, 2]))
+
+    def test_lognormal_tail_does_not_round_through_the_cdf(self):
+        # at u = 40 the cdf rounds to 1, whose quantile is infinite
+        m = Marginal("lognormal", 1.0, 0.2)
+        x = InputModel((m,)).from_latent(np.array([[40.0], [-40.0]]))[:, 0]
+        assert x[0] == pytest.approx(math.exp(9.0), rel=1e-14)
+        assert x[1] == pytest.approx(math.exp(-7.0), rel=1e-14)
+        assert m.quantile(stats.norm.cdf(40.0)) == math.inf
+
+    def test_gaussian_copula_matches_the_quantile_route(self):
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, -0.3], [0.2, -0.3, 1.5]])
+        margs = (Marginal("lognormal", 0.0, 0.4), Marginal("uniform", 2.0, 3.0),
+                 Marginal("normal", -1.0, 0.5))
+        model = InputModel(margs, dependence="gaussian", covariance=cov)
+        u = np.random.default_rng(4).standard_normal((400, 3))
+        z = u @ np.linalg.cholesky(cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))).T
+        expected = np.column_stack([m.quantile(stats.norm.cdf(z[:, i]))
+                                    for i, m in enumerate(margs)])
+        # the quantile route loses digits where ndtr rounds near 0 and 1
+        np.testing.assert_allclose(model.from_latent(u), expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("dependence", ["independent", "gaussian"])
+    def test_rows_map_independently_of_the_batch(self, dependence):
+        # the sampler recomputes x = T(u) for rows whose outputs it took
+        # from another batch, so each row must map to the same bits
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, -0.3], [0.2, -0.3, 1.5]])
+        model = InputModel((Marginal("lognormal", 0.0, 0.4), Marginal("uniform", 2.0, 3.0),
+                            Marginal("normal", -1.0, 0.5)), dependence=dependence,
+                           covariance=cov if dependence == "gaussian" else None)
+        u = 3.0 * np.random.default_rng(6).standard_normal((3000, 3))
+        full = model.from_latent(u)
+        for start, n in ((0, 1), (1, 7), (5, 17), (3, 500), (0, 2999)):
+            np.testing.assert_array_equal(model.from_latent(u[start:start + n].copy()),
+                                          full[start:start + n])
+        pick = np.random.default_rng(7).integers(0, 3000, 1000)
+        np.testing.assert_array_equal(model.from_latent(u[pick]), full[pick])
+
+    def test_gaussian_draws_are_the_latent_map_of_row_draws(self):
+        cov = np.array([[1.0, 0.6], [0.6, 1.0]])
+        model = InputModel((Marginal("normal", 0.0, 1.0), Marginal("lognormal", 0.0, 1.0)),
+                           dependence="gaussian", covariance=cov)
+        u = np.random.default_rng(8).standard_normal((50, 2))
+        np.testing.assert_array_equal(model.sample(50, np.random.default_rng(8)),
+                                      model.from_latent(u))
+
 
 def scipy_marginal(m):
     """The scipy.stats distribution a Marginal stands for (the reference)."""
@@ -236,20 +298,16 @@ class TestInputModel:
         with pytest.raises(ValueError, match="only meaningful"):
             InputModel(margs, covariance=np.eye(2))
 
-    def test_gaussian_cholesky_requires_normal_marginals(self):
-        model = InputModel((Marginal("lognormal", 0.0, 1.0),))
-        with pytest.raises(ValueError, match="not jointly Gaussian"):
-            model.gaussian_cholesky()
-
-    def test_gaussian_cholesky_reconstructs_covariance(self):
+    def test_latent_map_reconstructs_covariance(self):
+        # for all-normal inputs T(u) = mean + A u with A A^T the covariance
         cov = np.array([[4.0, 1.0], [1.0, 2.0]])
         model = InputModel(
-            (Marginal("normal", 0.0, 2.0), Marginal("normal", 0.0, math.sqrt(2.0))),
+            (Marginal("normal", 3.0, 2.0), Marginal("normal", -1.0, math.sqrt(2.0))),
             dependence="gaussian",
             covariance=cov,
         )
-        chol = model.gaussian_cholesky()
-        np.testing.assert_allclose(chol @ chol.T, cov, atol=1e-12)
+        a = (model.from_latent(np.eye(2)) - [3.0, -1.0]).T
+        np.testing.assert_allclose(a @ a.T, cov, atol=1e-12)
 
 
 class TestBlackBox:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from relsense.campaign import parse_config
 from relsense.model import BlackBox, FailureEvent, InputModel, Marginal, builtin_model
 from relsense.seeding import stream
 from relsense.smc import (
@@ -14,9 +15,9 @@ from relsense.smc import (
     SmcError,
     SmcParams,
     SmcResult,
+    _chain_sweep,
     adapt_kernel,
     final_sampling,
-    mh_step,
     run_adaptive_smc,
 )
 
@@ -104,16 +105,32 @@ class TestCallAccounting:
         box, model, event = builtin_model("additive_chi2")
         params = SmcParams(n_particles=300, rho=0.5507, mutation_steps=3,
                            final_sample_size=600, final_mh_steps=3,
-                           kernel=GaussianRandomWalkKernel.matching_input_sds(model),
-                           seed=5)
+                           kernel=GaussianRandomWalkKernel((1.0, 1.0)), seed=5)
         before = box.call_count
         result = run_adaptive_smc(box, model, event, params)
         n, m = params.n_particles, result.n_levels
-        # normal marginals cover the whole line, so no candidate is ever
-        # discarded for leaving the support and the identity stays exact
         assert result.calls_probability_phase == n * (1 + m * params.mutation_steps)
         assert result.calls_sampling_phase == 600 * 3
         assert box.call_count - before == result.calls_total
+
+    @pytest.mark.parametrize("kernel", [GaussianRandomWalkKernel((1.0, 1.0)),
+                                        CrankNicolsonKernel(a=0.5)])
+    def test_identity_with_bounded_inputs(self, kernel):
+        # every latent candidate maps into the support, so even uniform
+        # and lognormal inputs spend exactly one call per candidate
+        model = InputModel((Marginal("uniform", -1.0, 2.0), Marginal("lognormal", 0.0, 0.5)))
+        box = BlackBox(fn=lambda x: float(x[0] + x[1]), dimension=2, name="sum",
+                       batch_fn=lambda x: x[:, 0] + x[:, 1])
+        params = SmcParams(n_particles=200, rho=0.5, mutation_steps=2,
+                           final_sample_size=300, final_mh_steps=2, kernel=kernel, seed=3)
+        result = run_adaptive_smc(box, model, FailureEvent(4.0), params)
+        n, m = params.n_particles, result.n_levels
+        assert m > 0
+        assert result.calls_probability_phase == n * (1 + m * params.mutation_steps)
+        assert result.calls_sampling_phase == 300 * 2
+        x = result.conditioned_sample
+        assert np.all((x[:, 0] >= -1.0) & (x[:, 0] <= 1.0) & (x[:, 1] > 0.0))
+        np.testing.assert_array_equal(result.conditioned_outputs, x[:, 0] + x[:, 1])
 
 
 class TestReproducibility:
@@ -133,13 +150,22 @@ class TestReproducibility:
         assert a.p_f_hat != b.p_f_hat
 
 
+def one_transition(x0, gamma, box, model, kernel, rng):
+    """One MH transition of a single state of an ``N(0, 1)`` input, whose
+    latent and physical coordinates coincide.  The current output is not
+    needed: acceptance only compares the candidate's output with the level."""
+    u0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    u1, _, rate = _chain_sweep(u0, np.array([np.inf]), gamma, 1, box, model, kernel, rng)
+    return model.from_latent(u1)[0], rate > 0
+
+
 class TestMhStep:
     def test_candidate_below_level_rejected(self):
         box = identity_box()
         model = InputModel((Marginal("normal", 0.0, 1.0),))
         x0 = np.array([0.4])
-        x1, accepted = mh_step(x0, gamma=1e9, blackbox=box, input_model=model,
-                               kernel=CrankNicolsonKernel(a=0.5), rng=stream(3, 0))
+        x1, accepted = one_transition(x0, 1e9, box, model, CrankNicolsonKernel(a=0.5),
+                                      stream(3, 0))
         assert not accepted
         np.testing.assert_array_equal(x1, x0)
         assert box.call_count == 1
@@ -148,36 +174,17 @@ class TestMhStep:
         box = identity_box()
         model = InputModel((Marginal("normal", 0.0, 1.0),))
         x0 = np.array([0.4])
-        x1, accepted = mh_step(x0, gamma=-1e9, blackbox=box, input_model=model,
-                               kernel=CrankNicolsonKernel(a=1e-9), rng=stream(3, 1))
+        x1, accepted = one_transition(x0, -1e9, box, model, CrankNicolsonKernel(a=1e-9),
+                                      stream(3, 1))
         assert accepted
         assert x1[0] == pytest.approx(0.4, abs=1e-3)
         assert x1[0] != 0.4
 
-    def test_out_of_support_candidate_costs_no_call(self):
-        box = identity_box()
-        model = InputModel((Marginal("uniform", 0.0, 1.0),))
-        # a step of a million starting from the middle of a unit interval
-        # leaves the support with near certainty
-        kernel = GaussianRandomWalkKernel((1e6,))
-        x1, accepted = mh_step(np.array([0.5]), gamma=-1e9, blackbox=box,
-                               input_model=model, kernel=kernel, rng=stream(7, 0))
-        assert not accepted
-        assert x1[0] == 0.5
-        assert box.call_count == 0
-
-    def test_crank_nicolson_rejects_non_gaussian_inputs(self):
-        box = identity_box()
-        model = InputModel((Marginal("lognormal", 0.0, 1.0),))
-        with pytest.raises(SmcError, match="jointly Gaussian"):
-            mh_step(np.array([1.0]), gamma=0.0, blackbox=box, input_model=model,
-                    kernel=CrankNicolsonKernel(a=0.5), rng=stream(0, 0))
-
     def test_step_sds_dimension_mismatch(self):
         box, model, _ = builtin_model("toy1")
         with pytest.raises(SmcError, match="length 3 but the input has"):
-            mh_step(np.array([0.0, 0.0]), gamma=-1.0, blackbox=box, input_model=model,
-                    kernel=GaussianRandomWalkKernel((1.0, 1.0, 1.0)), rng=stream(0, 0))
+            one_transition(np.array([0.0, 0.0]), -1.0, box, model,
+                           GaussianRandomWalkKernel((1.0, 1.0, 1.0)), stream(0, 0))
 
 
 class TestChainLaw:
@@ -193,6 +200,22 @@ class TestChainLaw:
         truncated_mean = stats.norm.pdf(2.0) / stats.norm.sf(2.0)
         assert y.min() > 2.0
         assert y.mean() == pytest.approx(truncated_mean, abs=0.05)
+        assert 0.0 < rate < 1.0
+
+    def test_crank_nicolson_chain_targets_truncated_lognormal(self):
+        # log X = 0.5 + 0.3 U, so {X > exp(1.1)} is {U > 2} and the
+        # conditioned log X has mean 0.5 + 0.3 E[U | U > 2]
+        box = identity_box()
+        model = InputModel((Marginal("lognormal", 0.5, 0.3),))
+        event = FailureEvent(math.exp(1.1))
+        survivors = np.array([[2.1], [2.5], [3.0]])
+        x, y, rate = final_sampling(survivors, model.from_latent(survivors)[:, 0], box,
+                                    model, event, n_sample=4000, n_steps=40,
+                                    kernel=CrankNicolsonKernel(a=0.5), rng=stream(11, 1))
+        truncated_mean = stats.norm.pdf(2.0) / stats.norm.sf(2.0)
+        assert y.min() > event.threshold
+        np.testing.assert_array_equal(y, x[:, 0])
+        assert np.log(x[:, 0]).mean() == pytest.approx(0.5 + 0.3 * truncated_mean, abs=0.015)
         assert 0.0 < rate < 1.0
 
 
@@ -283,9 +306,14 @@ class TestParameterValidation:
             GaussianRandomWalkKernel((1.0, -0.5))
 
     def test_matching_input_sds(self):
-        _, model, _ = builtin_model("toy1")
-        kernel = GaussianRandomWalkKernel.matching_input_sds(model)
-        assert kernel.step_sds == pytest.approx((1.0, math.sqrt(5.0)))
+        # latent steps of one standard deviation of every input
+        config = parse_config({
+            "model": {"builtin": "toy1"},
+            "smc": {"n_particles": 100, "rho": 0.5, "mutation_steps": 1,
+                    "final_sample_size": 10, "final_mh_steps": 1,
+                    "kernel": {"type": "random_walk", "step_sds": "match_input"}},
+            "replications": 1})
+        assert config.smc.kernel.step_sds == (1.0, 1.0)
 
     def test_params_bounds(self):
         kernel = CrankNicolsonKernel(a=0.5)
@@ -323,30 +351,27 @@ class TestKernelAdaptation:
         assert all(s < t for s, t in zip(adapt_kernel(kernel, 0.0).step_sds, (1.0, 2.0)))
 
 
-# One oscillator run with the random-walk kernel, recorded with the
-# scipy.stats frozen-distribution densities that the closed forms in
-# relsense.model replaced; every acceptance decision depends on the input
-# log density, so a change of one ulp in it can move the whole ladder.
+# One oscillator run with the latent random-walk kernel, recorded when the
+# sampler moved to latent standard-normal coordinates.  Every acceptance
+# decision depends on the latent map and on the density ratio, so a change
+# of one ulp in either can move the whole ladder.
 GOLDEN_OSCILLATOR_LEVELS = (
-    -5.047102333870938, -4.865171360872072, -4.625182662698482, -4.517363018944642,
-    -4.349712822105641, -4.221765853206785, -4.112230950006212, -3.9977467187911113,
-    -3.9144232468900824, -3.806326701087931, -3.7266970749900823, -3.663344917763294,
-    -3.596849516236663, -3.5208816635954063, -3.4390695218830434, -3.3628083812442977,
-    -3.2871444710174003, -3.2190568739024146, -3.1373788388637593, -3.056313069076363,
-    -2.9917881005413296, -2.928354633538691, -2.861034612030127, -2.79857540625388,
-    -2.7393032379727074, -2.691789935917101, -2.6250369611253666, -2.563802792337332,
-    -2.503648528007325, -2.443679172008685, -2.3669918903648117, -2.294030722701677,
-    -2.2399200957009726, -2.2014784198349764, -2.146554489727946, -2.0887252783705086,
-    -2.051561796997502, -1.9918937223555604, -1.9158597651739613, -1.865793515710878,
-    -1.8173956662230264, -1.7465205428138066, -1.6884838503451505, -1.6296735767143322,
-    -1.588917899464986, -1.5363460889605478, -1.4874499211878502, -1.427308795742594,
-    -1.3854236893533844, -1.3167467153088483, -1.2535702306794168, -1.212117716066155,
-    -1.157611514249926, -1.093761185724703, -1.0382255117867802, -0.9879678717459095,
-    -0.9292349462086786, -0.8607464046255697, -0.8088586367793145, -0.7427554431152799,
-    -0.6834007376896132, -0.6382158373588886, -0.57611317010518, -0.515259659116702,
-    -0.461284193567316, -0.3851962305572938, -0.3256452812442312, -0.25729444023451453,
-    -0.21079556406094824, -0.17158977576909606, -0.11208588155378685,
-    -0.038823176502563506, 0.02992159314228715,
+    -5.047102333870938, -4.860704845113212, -4.638291349837341, -4.548215962012628,
+    -4.414843828152519, -4.300737656868468, -4.214731748298324, -4.135100387027454,
+    -4.061851464498811, -3.994778246374726, -3.9371377608315283, -3.867114655368983,
+    -3.803469753621367, -3.723891601915618, -3.6439189855555005, -3.574697012600563,
+    -3.4962680187674104, -3.39409705350353, -3.3207721921538327, -3.2422515918840427,
+    -3.186175762209964, -3.1153336838709578, -3.058606913278402, -2.9906653122536966,
+    -2.9329565144102148, -2.8478621931712373, -2.7542014833304824, -2.6752180518776694,
+    -2.5985282733020774, -2.534487385275511, -2.450630851918646, -2.3703647948618123,
+    -2.281589158675533, -2.198534216176288, -2.1347983977583174, -2.056864537684182,
+    -1.9765535738931002, -1.9204389499649346, -1.8636332339957433, -1.8091734499266416,
+    -1.7477446864458877, -1.676373332212215, -1.5428225549954733, -1.4694477249696756,
+    -1.39575162396692, -1.3255047022845141, -1.2389143057839522, -1.1661268449189945,
+    -1.0670212340821452, -0.9904466727457413, -0.8983101264821176, -0.8066816896786921,
+    -0.7323724779667184, -0.6432950358776122, -0.5516941629749379, -0.44540536831470057,
+    -0.3374484778191329, -0.23843020278130833, -0.14230486911538787, -0.01794965260520076,
+    0.07865490128448904,
 )
 
 
@@ -356,10 +381,10 @@ class TestGoldenTrajectory:
         box, model, event = builtin_model("sdof_oscillator")
         params = SmcParams(n_particles=100, rho=0.5, mutation_steps=3,
                            final_sample_size=100, final_mh_steps=2,
-                           kernel=GaussianRandomWalkKernel.matching_input_sds(model),
+                           kernel=GaussianRandomWalkKernel((1.0,) * 6),
                            max_levels=200, seed=11)
         result = run_adaptive_smc(box, model, event, params)
-        assert result.p_f_hat == 8.956666036443289e-23
+        assert result.p_f_hat == 6.0870811956618305e-19
         assert result.levels == GOLDEN_OSCILLATOR_LEVELS
-        assert result.calls_probability_phase == 21699
+        assert result.calls_probability_phase == 18100
         assert result.calls_sampling_phase == 200
