@@ -49,7 +49,8 @@ the defaults shown)::
 Any key the grammar does not name is a finding, and so are the retired
 ``indices.n_draws`` and ``indices.eta_method``: every index is
 integrated on the fitted densities' quadrature grids, so there are no
-index draws to size and no second method to choose.
+index draws to size and no second method to choose.  So is any number
+that is not finite (``json`` reads ``NaN`` and ``Infinity``).
 
 Replication ``r`` draws its splitting seed from the stream keyed
 ``(REPLICATION, r)`` under the master seed; the indices are deterministic
@@ -64,6 +65,7 @@ from __future__ import annotations
 import concurrent.futures
 import io
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -85,7 +87,7 @@ from .smc import (CrankNicolsonKernel, GaussianRandomWalkKernel, SmcParams,
 
 __all__ = [
     "CampaignConfig", "CampaignReport", "CampaignRuntimeError", "ConfigError",
-    "FAMILY_ORDER", "load_config", "parse_config", "run_campaign",
+    "FAMILY_ORDER", "load_config", "parse_config", "read_config", "run_campaign",
     "run_replication", "validate_config", "write_outputs",
 ]
 
@@ -127,9 +129,11 @@ class CampaignConfig:
     ``builtin`` and ``command`` are mutually exclusive; ``smc.seed`` is a
     placeholder that gets replaced per replication.  Exponent sets of
     ``None`` let every fit choose its own by BIC (see
-    :func:`~relsense.maxent.fit_density`).  ``raw`` keeps the
-    normalized source document for echoing into reports and for
-    rebuilding the config inside worker processes.
+    :func:`~relsense.maxent.fit_density`).  ``raw`` keeps the source
+    document, echoed into reports; nothing else reads it.
+    :func:`parse_config` builds the config in one pass over that
+    document; :func:`validate_config` runs the same pass and returns its
+    findings.
     """
 
     builtin: str | None
@@ -184,6 +188,9 @@ def _get_number(sec, path, findings, *, required=True, default=None,
     value = sec[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         findings.append(f"{path} must be a number, got {value!r}")
+        return default
+    if isinstance(value, float) and not math.isfinite(value):
+        findings.append(f"{path} must be finite, got {value}")
         return default
     if integer and int(value) != value:
         findings.append(f"{path} must be an integer, got {value!r}")
@@ -300,6 +307,7 @@ def _parse_inputs(raw, builtin_inputs, findings):
 
 
 def _parse_model(raw, findings):
+    """``(builtin, command, dimension)``; ``dimension`` is a command's only."""
     sec = _get_section(raw, "model", findings)
     if sec is None:
         return None, None, None
@@ -313,16 +321,13 @@ def _parse_model(raw, findings):
             findings.append(f"model.builtin must be one of {', '.join(_BUILTIN_NAMES)}, "
                             f"got {builtin!r}")
             return None, None, None
-        _, inputs, event = builtin_model(builtin)
-        return builtin, None, (inputs, event)
+        return builtin, None, None
     if (not isinstance(command, list) or not command
             or not all(isinstance(c, str) and c for c in command)):
         findings.append("model.command must be a non-empty list of strings")
         return None, None, None
     dim = _get_number(sec, "model.dimension", findings, integer=True, minimum=1)
-    if dim is None:
-        return None, tuple(command), None
-    return None, tuple(command), int(dim)
+    return None, tuple(command), dim
 
 
 def _parse_kernel(sec, input_model, findings):
@@ -408,31 +413,41 @@ def _parse_exponents(sec, path, findings):
         findings.append(f"{path} must be a non-empty list of numbers")
         return None
     exps = tuple(float(v) for v in entry)
+    if not all(math.isfinite(e) for e in exps):
+        findings.append(f"{path} must be finite, got {entry}")
+        return None
     if any(e <= 0 for e in exps) or any(b <= a for a, b in zip(exps, exps[1:])):
         findings.append(f"{path} must be strictly increasing and positive")
         return None
     return exps
 
 
-def validate_config(raw: dict) -> list[str]:
-    """Return every problem found in a raw config document (empty = valid)."""
-    findings: list[str] = []
+def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
+    """One pass over a raw config document: ``(config, findings)``.
+
+    Every section is read once, in a fixed order, and every problem is
+    collected.  The config is built only when no problem was found;
+    otherwise it is ``None``.
+    """
     if not isinstance(raw, dict):
-        return ["config must be a JSON object"]
+        return None, ["config must be a JSON object"]
+    findings: list[str] = []
     known = {"model", "inputs", "event", "smc", "density", "indices",
              "replications", "seed"}
     for key in raw:
         if key not in known:
             findings.append(f"unknown top-level section {key!r}")
 
-    builtin, command, extra = _parse_model(raw, findings)
-    builtin_inputs, builtin_event = (extra if builtin else (None, None))
+    builtin, command, dimension = _parse_model(raw, findings)
+    builtin_inputs = event = None
+    if builtin:
+        _, builtin_inputs, event = builtin_model(builtin)
     input_model, names = _parse_inputs(raw, builtin_inputs, findings)
-    if (command and input_model is not None and isinstance(extra, int)
-            and input_model.dimension != extra):
-        findings.append(f"model.dimension is {extra} but inputs.marginals "
+    if (command and input_model is not None and dimension is not None
+            and input_model.dimension != dimension):
+        findings.append(f"model.dimension is {dimension} but inputs.marginals "
                         f"lists {input_model.dimension}")
-    if (builtin and builtin_inputs is not None and input_model is not None
+    if (builtin and input_model is not None
             and input_model.dimension != builtin_inputs.dimension):
         findings.append(f"model.builtin {builtin!r} takes "
                         f"{builtin_inputs.dimension} inputs but inputs.marginals "
@@ -440,23 +455,22 @@ def validate_config(raw: dict) -> list[str]:
 
     event_sec = _get_section(raw, "event", findings, required=False)
     if event_sec is None:
-        if builtin_event is None:
+        if event is None:
             findings.append("event.threshold required")
     else:
         _check_keys(event_sec, "event", ("threshold",), findings)
         threshold = _get_number(event_sec, "event.threshold", findings)
-        if threshold is not None and not np.isfinite(threshold):
-            findings.append(f"event.threshold must be finite, got {threshold}")
+        event = None if threshold is None else FailureEvent(threshold)
 
-    _parse_smc(raw, input_model, findings)
+    smc = _parse_smc(raw, input_model, findings)
 
     dens = _get_section(raw, "density", findings, required=False)
     _check_keys(dens or {}, "density",
                 ("marginal_exponents", "copula_exponents", "support_margin"), findings)
-    _parse_exponents(dens, "density.marginal_exponents", findings)
-    _parse_exponents(dens, "density.copula_exponents", findings)
-    _get_number(dens, "density.support_margin", findings, required=False,
-                default=SUPPORT_MARGIN, minimum=0.0)
+    marginal_exponents = _parse_exponents(dens, "density.marginal_exponents", findings)
+    copula_exponents = _parse_exponents(dens, "density.copula_exponents", findings)
+    support_margin = _get_number(dens, "density.support_margin", findings, required=False,
+                                 default=SUPPORT_MARGIN, minimum=0.0)
 
     idx = _get_section(raw, "indices", findings, required=False) or {}
     findings.extend(_RETIRED_INDEX_KEYS[key] for key in idx if key in _RETIRED_INDEX_KEYS)
@@ -466,54 +480,59 @@ def validate_config(raw: dict) -> list[str]:
         findings.append(f"indices.divergence must be one of "
                         f"{', '.join(_DIVERGENCES)}, got {divergence!r}")
 
-    _get_number(raw, "replications", findings, integer=True, minimum=1)
-    _get_number(raw, "seed", findings, required=False, default=0,
-                integer=True, minimum=0, maximum=2**64 - 1)
-    return findings
-
-
-def parse_config(raw: dict) -> CampaignConfig:
-    """Build a :class:`CampaignConfig`; raise :class:`ConfigError` if invalid."""
-    findings = validate_config(raw)
+    replications = _get_number(raw, "replications", findings, integer=True, minimum=1)
+    seed = _get_number(raw, "seed", findings, required=False, default=0,
+                       integer=True, minimum=0, maximum=2**64 - 1)
     if findings:
-        raise ConfigError(findings)
-    builtin, command, extra = _parse_model(raw, [])
-    builtin_inputs, builtin_event = (extra if builtin else (None, None))
-    input_model, names = _parse_inputs(raw, builtin_inputs, [])
-    if names is None:
-        names = tuple(f"X{i + 1}" for i in range(input_model.dimension))
-    event_sec = raw.get("event")
-    if event_sec is not None and "threshold" in event_sec:
-        event = FailureEvent(float(event_sec["threshold"]))
-    else:
-        event = builtin_event
-    dens = raw.get("density") or {}
-    idx = raw.get("indices") or {}
+        return None, findings
     return CampaignConfig(
         builtin=builtin,
         command=command,
         input_model=input_model,
-        input_names=names,
+        input_names=names or tuple(f"X{i + 1}" for i in range(input_model.dimension)),
         event=event,
-        smc=_parse_smc(raw, input_model, []),
-        marginal_exponents=_parse_exponents(dens, "density.marginal_exponents", []),
-        copula_exponents=_parse_exponents(dens, "density.copula_exponents", []),
-        support_margin=float(dens.get("support_margin", SUPPORT_MARGIN)),
-        divergence=idx.get("divergence", "total_variation"),
-        replications=int(raw["replications"]),
-        master_seed=int(raw.get("seed", 0)),
+        smc=smc,
+        marginal_exponents=marginal_exponents,
+        copula_exponents=copula_exponents,
+        support_margin=support_margin,
+        divergence=divergence,
+        replications=replications,
+        master_seed=seed,
         raw=raw,
-    )
+    ), findings
 
 
-def load_config(path) -> CampaignConfig:
-    """Read and validate a JSON config file."""
-    text = Path(path).read_text()
+def validate_config(raw: dict) -> list[str]:
+    """Return every problem found in a raw config document (empty = valid)."""
+    return _parse(raw)[1]
+
+
+def parse_config(raw: dict) -> CampaignConfig:
+    """Build a :class:`CampaignConfig`; raise :class:`ConfigError` if invalid."""
+    config, findings = _parse(raw)
+    if findings:
+        raise ConfigError(findings)
+    return config
+
+
+def read_config(path) -> dict:
+    """The raw JSON object of a config file; :class:`ConfigError` if unreadable."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError([f"cannot read config {path}: {exc.strerror}"]) from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(["config must be a JSON object"])
+    return raw
+
+
+def load_config(path) -> CampaignConfig:
+    """Read and validate a JSON config file."""
+    return parse_config(read_config(path))
 
 
 def _make_blackbox(config: CampaignConfig) -> BlackBox:
@@ -584,10 +603,6 @@ def _clip(value: float, bounded: bool) -> tuple[float, bool]:
     if value >= 0.0:
         return float(value), False
     return 0.0, True
-
-
-def _job(raw: dict, rep: int) -> dict:
-    return run_replication(parse_config(raw), rep)
 
 
 @dataclass(frozen=True)
@@ -749,10 +764,12 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
                  with_references: bool = True) -> CampaignReport:
     """Run every replication and aggregate.
 
-    ``jobs > 1`` distributes replications over worker processes; the
-    result is identical to the sequential one because each replication
-    only touches its own seed streams.  External models force ``jobs=1``
-    (a single child process holds the pipe).
+    ``jobs > 1`` hands each worker process the parsed ``config`` and a
+    replication number.  The result is identical to the sequential one
+    for any config, including one changed after parsing (say with
+    :func:`dataclasses.replace`), because each replication only touches
+    its own seed streams.  External models force ``jobs=1`` (a single
+    child process holds the pipe).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -766,17 +783,17 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
         box = _make_blackbox(config)
         try:
             for r in range(config.replications):
-                records.append(_guard(run_replication, config, r, box))
+                records.append(_guard(config, r, lambda: run_replication(config, r, box)))
         finally:
             close = getattr(box, "close", None)
             if close:
                 close()
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_job, config.raw, r)
+            futures = [pool.submit(run_replication, config, r)
                        for r in range(config.replications)]
             for r, fut in enumerate(futures):
-                records.append(_guard_future(fut, config, r))
+                records.append(_guard(config, r, fut.result))
 
     indices = aggregate_replications(
         [rec["families"] for rec in records],
@@ -801,18 +818,10 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
     )
 
 
-def _guard(fn, config, rep, *args):
+def _guard(config, rep, call):
+    """``call()``, with a failure re-raised naming replication ``rep``."""
     try:
-        return fn(config, rep, *args)
-    except Exception as exc:
-        raise CampaignRuntimeError(
-            f"replication {rep} (seed {replication_seed(config.master_seed, rep)}) "
-            f"failed: {exc}") from exc
-
-
-def _guard_future(fut, config, rep):
-    try:
-        return fut.result()
+        return call()
     except Exception as exc:
         raise CampaignRuntimeError(
             f"replication {rep} (seed {replication_seed(config.master_seed, rep)}) "

@@ -9,9 +9,13 @@ Three subcommands::
 
 ``estimate`` runs a campaign and writes ``report.json`` and
 ``indices.csv`` into the output directory, printing the aggregated
-summary table.  ``references`` prints the independently computed
-reference values for a built-in benchmark.  ``validate`` checks a config
-document statically, without a single model evaluation.
+summary table.  ``--replications`` and ``--seed`` are written into the
+document before it is parsed, so they are validated and echoed like the
+file's own values; ``--jobs`` workers receive the parsed config.
+``references`` prints the independently computed reference values for a
+built-in benchmark.  ``validate`` checks a config document statically,
+without a single model evaluation, by the same parse ``estimate`` runs.
+Both read the file with :func:`relsense.campaign.read_config`.
 
 Exit codes: 0 on success, 1 when a run fails at runtime (the message
 names the failing replication and its seed), 2 for config or usage
@@ -21,12 +25,11 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .campaign import (CampaignRuntimeError, ConfigError, parse_config,
-                       run_campaign, write_outputs)
+from .campaign import (CampaignRuntimeError, ConfigError, load_config,
+                       parse_config, read_config, run_campaign, write_outputs)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -62,22 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_raw(path: Path) -> dict:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError([f"cannot read config {path}: {exc.strerror}"]) from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(["config must be a JSON object"])
-    return raw
-
-
 def cmd_estimate(args) -> int:
-    raw = _load_raw(args.config)
+    raw = read_config(args.config)
     if args.replications is not None:
         raw["replications"] = args.replications
     if args.seed is not None:
@@ -111,7 +100,7 @@ def cmd_references(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = parse_config(_load_raw(args.config))
+    config = load_config(args.config)
     print(f"config ok: model={config.model_label} dimension={config.dimension} "
           f"replications={config.replications} seed={config.master_seed}")
     return EXIT_OK

@@ -84,8 +84,7 @@ class Marginal:
     ``0 <= z <= 1``; ``quantile`` is ``nan`` outside ``[0, 1]`` and gives
     the support ends, ``-inf``/``inf`` (``0`` for the lognormal,
     ``loc``/``loc + scale`` for the uniform), at ``u = 0, 1``; NaN in
-    gives NaN out.  ``mean()`` and ``sd()`` follow scipy's order of
-    operations.
+    gives NaN out.
     """
 
     kind: str
@@ -155,32 +154,6 @@ class Marginal:
             z = np.where((u >= 0.0) & (u <= 1.0), u, np.nan)
         return (z * b + a)[()]
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "normal":
-            return self.loc + self.scale * rng.standard_normal(n)
-        if self.kind == "lognormal":
-            return np.exp(self.loc + self.scale * rng.standard_normal(n))
-        return self.loc + self.scale * rng.random(n)
-
-    def _moments(self):
-        """Mean and variance: the standard form's, mapped by ``a + b * z``."""
-        if self.kind == "normal":
-            mu, mu2 = 0.0, 1.0
-        elif self.kind == "lognormal":
-            p = np.exp(self.scale * self.scale)
-            mu, mu2 = np.sqrt(p), p * (p - 1)
-        else:
-            mu, mu2 = 0.5, 1.0 / 12
-        a, b = self._affine()
-        return mu * b + a, mu2 * b * b
-
-    def mean(self) -> float:
-        return float(self._moments()[0])
-
-    def sd(self) -> float:
-        """Standard deviation of the variable itself (not of log X)."""
-        return float(np.sqrt(self._moments()[1]))
-
 
 @dataclass(frozen=True)
 class InputModel:
@@ -202,15 +175,20 @@ class InputModel:
     sampler moves ``u``; the model only ever sees ``x``.
 
     :meth:`sample` is ``T`` applied to standard normal draws.  For
-    independent inputs the draws fill one column after the other, as
-    :meth:`Marginal.sample` draws them, so normal and lognormal columns
-    are bit-identical to drawing each marginal in turn from the same
-    generator.
+    independent inputs the draws fill one column after the other: column
+    ``i`` is ``T`` of the ``i``-th block of ``n`` standard normals from
+    the generator.
+
+    Two models are equal when their marginals, dependence and covariance
+    entries are; the covariance is compared (and hashed) through a tuple
+    of its rows, so no array comparison is ever asked for a truth value.
     """
 
     marginals: tuple[Marginal, ...]
     dependence: str = "independent"
-    covariance: np.ndarray | None = None
+    covariance: np.ndarray | None = field(default=None, compare=False)
+    _covariance_rows: tuple[tuple[float, ...], ...] | None = field(
+        default=None, init=False, repr=False)
     _correlation_chol: np.ndarray | None = field(default=None, repr=False, compare=False)
     # What ``T`` needs, built once: per-coordinate ``loc`` and ``scale``,
     # the lognormal column mask and the uniform column indices.
@@ -244,6 +222,7 @@ class InputModel:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("covariance must be positive definite") from exc
             object.__setattr__(self, "covariance", cov)
+            object.__setattr__(self, "_covariance_rows", tuple(map(tuple, cov.tolist())))
             object.__setattr__(self, "_correlation_chol", chol)
         elif self.covariance is not None:
             raise ValueError("covariance is only meaningful with gaussian dependence")

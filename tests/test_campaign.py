@@ -1,9 +1,12 @@
 """Campaign configs, replication orchestration, reports and outputs."""
 
+import collections
 import copy
 import importlib.util
 import json
+import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,27 @@ def table6_style_config(command):
         "replications": 1,
         "seed": 0,
     }
+
+
+def set_path(raw, keys, value):
+    """Set ``raw[k0][k1]...`` to ``value``, creating missing sections."""
+    for key in keys[:-1]:
+        raw = raw.setdefault(key, {}) if isinstance(key, str) else raw[key]
+    raw[keys[-1]] = value
+
+
+# Every kind of number field the grammar reads, by its finding path.
+NUMBER_FIELDS = {
+    "replications": ("replications",),
+    "seed": ("seed",),
+    "model.dimension": ("model", "dimension"),
+    "event.threshold": ("event", "threshold"),
+    "inputs.marginals[2].sd": ("inputs", "marginals", 2, "sd"),
+    "smc.rho": ("smc", "rho"),
+    "smc.n_particles": ("smc", "n_particles"),
+    "smc.kernel.a": ("smc", "kernel", "a"),
+    "density.support_margin": ("density", "support_margin"),
+}
 
 
 class TestValidation:
@@ -217,6 +241,10 @@ class TestValidation:
         assert validate_config(raw) == []
         config = parse_config(raw)
         assert config.input_model.dependence == "gaussian"
+        # equal documents give equal configs, without comparing arrays
+        assert config == parse_config(copy.deepcopy(raw))
+        raw["inputs"]["dependence"]["covariance"] = [[1.0, 0.4], [0.4, 1.0]]
+        assert config != parse_config(raw)
         raw["inputs"]["dependence"]["covariant"] = [[1.0, 0.0], [0.0, 1.0]]
         assert validate_config(raw) == ["unknown key 'covariant' in inputs.dependence"]
 
@@ -255,6 +283,33 @@ class TestValidation:
         }
         assert validate_config(raw) == [
             f"inputs.dependence.covariance must be a numeric matrix, got {cov!r}"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", NUMBER_FIELDS)
+    def test_non_finite_number_is_a_finding(self, path, value):
+        # json reads NaN and Infinity; each is one finding, not a crash
+        raw = table6_style_config(["/nonexistent/launcher-model"])
+        set_path(raw, NUMBER_FIELDS[path], value)
+        assert validate_config(raw) == [f"{path} must be finite, got {value}"]
+
+    def test_non_finite_exponent_is_a_finding(self, small_toy1_config):
+        small_toy1_config["density"] = {"copula_exponents": [0.5, math.inf]}
+        assert validate_config(small_toy1_config) == [
+            "density.copula_exponents must be finite, got [0.5, inf]"]
+
+    def test_each_section_parser_runs_once(self, small_toy1_config, monkeypatch):
+        from relsense import campaign
+
+        calls = collections.Counter()
+        for name in ("_parse_model", "_parse_inputs", "_parse_smc", "_parse_exponents"):
+            def counted(*args, _name=name, _parse=getattr(campaign, name)):
+                calls[_name] += 1
+                return _parse(*args)
+            monkeypatch.setattr(campaign, name, counted)
+        parse_config(small_toy1_config)
+        assert calls == {"_parse_model": 1, "_parse_inputs": 1, "_parse_smc": 1,
+                         "_parse_exponents": 2}
 
     def test_exponent_lists_checked(self, small_toy1_config):
         small_toy1_config["density"] = {"marginal_exponents": [1.5, 0.5]}
@@ -297,6 +352,10 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    def test_load_config_rejects_a_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "absent.json")
 
     def test_load_config_round_trip(self, small_config_file):
         config = load_config(small_config_file)
@@ -402,6 +461,18 @@ class TestRunCampaign:
         assert seq.deterministic_body() == par.deterministic_body()
         assert seq.csv_text() == par.csv_text()
 
+    def test_parallel_equals_sequential_for_a_changed_config(self, small_toy1_config):
+        # workers run the config they are handed, not a re-parse of its source
+        config = replace(parse_config(small_toy1_config), master_seed=5)
+        seq = run_campaign(config, jobs=1, with_references=False)
+        par = run_campaign(config, jobs=2, with_references=False)
+        assert par.p_f_per_replication == seq.p_f_per_replication
+        for a, b in zip(seq.per_replication, par.per_replication):
+            for fam in FAMILY_ORDER:
+                np.testing.assert_array_equal(a["families"][fam][0], b["families"][fam][0])
+        assert seq.deterministic_body() == par.deterministic_body()
+        assert seq.csv_text() == par.csv_text()
+
     def test_jobs_validation(self, small_toy1_config):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_campaign(parse_config(small_toy1_config), jobs=0)
@@ -431,6 +502,17 @@ class TestRunCampaign:
         assert report.wall_clock_seconds >= 0.2
         # the clock stops after the table is built, not before it starts
         assert report.wall_clock_seconds >= finished[0] - before - 0.05
+
+    def test_references_follow_the_input_model(self, small_toy1_config):
+        from relsense.campaign import _reference_table
+
+        normals = [{"kind": "normal", "mean": 0.0, "sd": 1.0},
+                   {"kind": "normal", "mean": 0.0, "sd": math.sqrt(5.0)}]
+        small_toy1_config["inputs"] = {"marginals": normals}
+        assert _reference_table(parse_config(small_toy1_config)) is not None
+        small_toy1_config["inputs"]["dependence"] = {
+            "type": "gaussian", "covariance": [[1.0, 0.0], [0.0, 5.0]]}
+        assert _reference_table(parse_config(small_toy1_config)) is None
 
     def test_references_can_be_disabled(self, small_toy1_config):
         report = run_campaign(parse_config(small_toy1_config),

@@ -73,6 +73,27 @@ class TestValidate:
         assert out == ""
         assert "config error: inputs.dependence.covariance must be a numeric matrix" in err
 
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    @pytest.mark.parametrize("keys", [("replications",), ("smc", "kernel", "a"),
+                                      ("density", "support_margin")],
+                             ids=".".join)
+    def test_non_finite_number_exits_2(self, tmp_path, small_toy1_config, capsys,
+                                       keys, command):
+        section = small_toy1_config
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(small_toy1_config))  # writes the literal NaN
+        argv = [command, "--config", str(path)]
+        if command == "estimate":
+            argv += ["--out", str(tmp_path / "out")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {'.'.join(keys)} must be finite, got nan\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["validate", "--config", str(tmp_path / "absent.json")], capsys)

@@ -30,7 +30,7 @@ from relsense.maxent import (
     fractional_moments_1d,
     solve_maxent,
 )
-from relsense.model import Marginal, builtin_model, sample_input
+from relsense.model import InputModel, Marginal, builtin_model, sample_input
 
 
 def unit_copula():
@@ -67,7 +67,7 @@ def truncated_tail_density(lo=8.0, hi=9.0):
 def nominal_mc_tv(density, marginal, n_draws, seed):
     """Total-variation distance as ``mean(|f_hat/f - 1|) / 2`` over nominal
     draws: an estimate independent of the quadrature grid."""
-    x = marginal.sample(n_draws, np.random.default_rng(seed))
+    x = InputModel((marginal,)).sample(n_draws, np.random.default_rng(seed))[:, 0]
     return float(np.mean(0.5 * np.abs(density.pdf(x) / marginal.pdf(x) - 1.0)))
 
 
