@@ -36,8 +36,7 @@ the defaults shown)::
       },
       "density": {                                 # optional
         "marginal_exponents": [0.5, 1.0, 1.5],     # default: chosen per fit
-        "copula_exponents":   [0.5, 1.0, 1.5],     #   by BIC from a ladder
-        "support_margin": 0.0
+        "copula_exponents":   [0.5, 1.0, 1.5]      #   by BIC from a ladder
       },
       "indices": {                                 # optional
         "divergence": "total_variation"            # or "kullback_leibler"
@@ -50,7 +49,8 @@ Any key the grammar does not name is a finding, and so are the retired
 ``indices.n_draws`` and ``indices.eta_method``: every index is
 integrated on the fitted densities' quadrature grids, so there are no
 index draws to size and no second method to choose.  So is any number
-that is not finite (``json`` reads ``NaN`` and ``Infinity``).
+that is not finite: ``json`` reads ``NaN`` and ``Infinity``, and an
+integer beyond the float range counts as infinite.
 
 Replication ``r`` draws its splitting seed from the stream keyed
 ``(REPLICATION, r)`` under the master seed; the indices are deterministic
@@ -79,7 +79,7 @@ from .indices import (DivergenceSpec, IndexReport, aggregate_replications,
                       clip_unit, csiszar_marginal_index, delta_index,
                       rank_descending, scaled_target_index,
                       sobol_indicator_index)
-from .maxent import SUPPORT_MARGIN, fit_copula, fit_density
+from .maxent import fit_copula, fit_density
 from .model import (BlackBox, FailureEvent, InputModel, Marginal, builtin_model)
 from .seeding import REPLICATION, seed_sequence
 from .smc import (CrankNicolsonKernel, GaussianRandomWalkKernel, SmcParams,
@@ -144,7 +144,6 @@ class CampaignConfig:
     smc: SmcParams
     marginal_exponents: tuple[float, ...] | None
     copula_exponents: tuple[float, ...] | None
-    support_margin: float
     divergence: str
     replications: int
     master_seed: int
@@ -176,6 +175,15 @@ def _check_keys(sec, path, known, findings):
     findings.extend(f"unknown key {key!r} in {path}" for key in sec if key not in known)
 
 
+def _finite(value) -> bool:
+    """Whether a JSON number is finite as a float; an integer beyond the
+    float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _get_number(sec, path, findings, *, required=True, default=None,
                 integer=False, minimum=None, maximum=None, strict_min=False):
     name = path.rsplit(".", 1)[-1]
@@ -189,7 +197,7 @@ def _get_number(sec, path, findings, *, required=True, default=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         findings.append(f"{path} must be a number, got {value!r}")
         return default
-    if isinstance(value, float) and not math.isfinite(value):
+    if not _finite(value):
         findings.append(f"{path} must be finite, got {value}")
         return default
     if integer and int(value) != value:
@@ -291,9 +299,15 @@ def _parse_inputs(raw, builtin_inputs, findings):
             return None, names
         try:
             covariance = np.asarray(cov, dtype=float)
+            finite = bool(np.all(np.isfinite(covariance)))
+        except OverflowError:
+            finite = False
         except (TypeError, ValueError):
             findings.append(f"inputs.dependence.covariance must be a numeric matrix, "
                             f"got {cov!r}")
+            return None, names
+        if not finite:
+            findings.append(f"inputs.dependence.covariance must be finite, got {cov!r}")
             return None, names
         dependence = "gaussian"
     else:
@@ -360,6 +374,9 @@ def _parse_kernel(sec, input_model, findings):
             findings.append(f"smc.kernel.step_sds must list one value per input "
                             f"({input_model.dimension}), got {len(sds)}")
             return None
+        if any(isinstance(s, (int, float)) and not _finite(s) for s in sds):
+            findings.append(f"smc.kernel.step_sds must be finite, got {sds}")
+            return None
         try:
             return GaussianRandomWalkKernel(tuple(float(s) for s in sds))
         except (TypeError, ValueError) as exc:
@@ -412,10 +429,10 @@ def _parse_exponents(sec, path, findings):
                        for v in entry)):
         findings.append(f"{path} must be a non-empty list of numbers")
         return None
-    exps = tuple(float(v) for v in entry)
-    if not all(math.isfinite(e) for e in exps):
+    if not all(_finite(v) for v in entry):
         findings.append(f"{path} must be finite, got {entry}")
         return None
+    exps = tuple(float(v) for v in entry)
     if any(e <= 0 for e in exps) or any(b <= a for a, b in zip(exps, exps[1:])):
         findings.append(f"{path} must be strictly increasing and positive")
         return None
@@ -465,12 +482,9 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
     smc = _parse_smc(raw, input_model, findings)
 
     dens = _get_section(raw, "density", findings, required=False)
-    _check_keys(dens or {}, "density",
-                ("marginal_exponents", "copula_exponents", "support_margin"), findings)
+    _check_keys(dens or {}, "density", ("marginal_exponents", "copula_exponents"), findings)
     marginal_exponents = _parse_exponents(dens, "density.marginal_exponents", findings)
     copula_exponents = _parse_exponents(dens, "density.copula_exponents", findings)
-    support_margin = _get_number(dens, "density.support_margin", findings, required=False,
-                                 default=SUPPORT_MARGIN, minimum=0.0)
 
     idx = _get_section(raw, "indices", findings, required=False) or {}
     findings.extend(_RETIRED_INDEX_KEYS[key] for key in idx if key in _RETIRED_INDEX_KEYS)
@@ -494,7 +508,6 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
         smc=smc,
         marginal_exponents=marginal_exponents,
         copula_exponents=copula_exponents,
-        support_margin=support_margin,
         divergence=divergence,
         replications=replications,
         master_seed=seed,
@@ -523,7 +536,7 @@ def read_config(path) -> dict:
         raise ConfigError([f"cannot read config {path}: {exc.strerror}"]) from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long for ``int``
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
@@ -571,8 +584,7 @@ def run_replication(config: CampaignConfig, rep: int,
     for i in range(d):
         marginal = config.input_model.marginals[i]
         pair = np.column_stack([sample[:, i], outputs])
-        density = fit_density(sample[:, i], config.marginal_exponents,
-                              margin=config.support_margin)
+        density = fit_density(sample[:, i], config.marginal_exponents)
         copula = fit_copula(pair, config.copula_exponents)
 
         delta_f = delta_index(copula, divergence)
@@ -760,9 +772,12 @@ def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | N
     return _REFERENCE_CACHE[config.builtin]
 
 
-def run_campaign(config: CampaignConfig, jobs: int = 1,
-                 with_references: bool = True) -> CampaignReport:
+def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     """Run every replication and aggregate.
+
+    The report carries the tabulated reference values whenever the config
+    targets ``toy1`` or ``additive_chi2`` with its own inputs, threshold
+    and total-variation divergence; otherwise ``references`` is ``None``.
 
     ``jobs > 1`` hands each worker process the parsed ``config`` and a
     replication number.  The result is identical to the sequential one
@@ -800,7 +815,7 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
         [rec["p_f_hat"] for rec in records],
         config.input_names,
         dependent_inputs=config.input_model.dependence != "independent")
-    references = _reference_table(config) if with_references else None
+    references = _reference_table(config)
     wall = time.perf_counter() - start
     return CampaignReport(
         config_echo=config.raw,

@@ -9,7 +9,6 @@ a single time.
 
 from __future__ import annotations
 
-import shlex
 import subprocess
 
 import numpy as np
@@ -24,9 +23,8 @@ class ExternalBlackBox(BlackBox):
 
     def __init__(self, command, dimension: int):
         if isinstance(command, str):
-            argv = shlex.split(command)
-        else:
-            argv = [str(c) for c in command]
+            raise TypeError("external command must be an argv list, not a string")
+        argv = [str(c) for c in command]
         if not argv:
             raise ValueError("external command must not be empty")
         self._argv = argv
@@ -83,7 +81,7 @@ class ExternalBlackBox(BlackBox):
 def external_blackbox(command, dimension: int) -> ExternalBlackBox:
     """Wrap an external command as a :class:`BlackBox`.
 
-    ``command`` is an argv list or a shell-style string.  The returned
+    ``command`` is an argv list, run without a shell.  The returned
     box is not thread safe (a single pipe pair is shared) and keeps the
     process alive until :meth:`ExternalBlackBox.close` is called.
     """

@@ -27,8 +27,10 @@ itself, so the solver never builds its features over the 128 x 128
 grid: it whitens the axis powers per axis, writes every feature in
 products of the axis polynomials through a Kronecker map, and evaluates
 the log density, the moments and the Hessian as small matrix products
-on 128-point axis arrays.  A 1-D family is whitened directly on its
-384-node grid.
+on 128-point axis arrays.  A 1-D family is whitened by the same
+per-axis recipe (its powers with the constant first, orthonormalized on
+its 384-node grid, then mapped to the features), and its whitened
+features are kept as dense rows over that grid.
 
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
@@ -63,7 +65,6 @@ __all__ = [
     "unit_square_grid",
 ]
 
-SUPPORT_MARGIN = 0.0
 SHIFT_EPS = 1e-6
 DEFAULT_EXPONENTS = (0.5, 1.0, 1.5)
 # Largest change of a copula's log normalizer from its 128-point solver
@@ -132,19 +133,16 @@ def _check_exponents(exponents):
     return exps
 
 
-def fractional_moments_1d(sample, exponents=DEFAULT_EXPONENTS, *,
-                          margin=SUPPORT_MARGIN) -> MomentConstraints:
+def fractional_moments_1d(sample, exponents=DEFAULT_EXPONENTS) -> MomentConstraints:
     """Empirical moments ``mean((x + shift)**beta)`` of a 1-D sample.
 
     When the sample touches zero or goes negative and any exponent is
     non-integer, the sample is first shifted by ``-min + 1e-6 * range``
     so all powers are real; the shift is recorded and undone at density
-    evaluation time.  The support is the sample range widened by
-    ``margin`` times the range on each side (clamped at zero in shifted
-    coordinates).  The default margin is zero: conditional densities of
-    rare-event problems often have hard edges at the failure boundary,
-    and padding the support smears them, which biases ratio-based
-    indices downward.
+    evaluation time.  The support is the sample range, unpadded:
+    conditional densities of rare-event problems often have hard edges
+    at the failure boundary, and padding the support smears them, which
+    biases ratio-based indices downward.
     """
     x = np.asarray(sample, dtype=float).reshape(-1)
     if x.size < 2:
@@ -155,21 +153,15 @@ def fractional_moments_1d(sample, exponents=DEFAULT_EXPONENTS, *,
     rng = hi - lo
     if rng == 0.0:
         raise ValueError("degenerate sample: all values are equal")
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
     exps = _check_exponents(exponents)
-    fractional = any(e != int(e) for e in exps)
     shift = 0.0
-    if fractional and lo <= 0.0:
+    if lo <= 0.0 and any(e != int(e) for e in exps):
         shift = -lo + SHIFT_EPS * rng
-    a = lo - margin * rng + shift
-    b = hi + margin * rng + shift
-    if fractional and a < 0.0:
-        a = 0.0
     z = x + shift
     targets = np.array([np.mean(z ** e) for e in exps])
     return MomentConstraints(ndim=1, exponents=exps, targets=targets,
-                             support=(a, b), shift=shift, sample_size=x.size)
+                             support=(lo + shift, hi + shift), shift=shift,
+                             sample_size=x.size)
 
 
 def _average_ranks(x):
@@ -258,22 +250,6 @@ class MaxEntDensity:
         z, w = _support_nodes(*self.support_shifted)
         return z - self.shift, w
 
-    def to_record(self) -> dict:
-        return {"kind": "density_1d", "exponents": list(self.exponents),
-                "multipliers": [float(v) for v in self.multipliers],
-                "log_normalizer": float(self.log_normalizer),
-                "support_shifted": list(self.support_shifted), "shift": float(self.shift)}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "MaxEntDensity":
-        if record.get("kind") != "density_1d":
-            raise ValueError(f"not a 1-D density record: {record.get('kind')!r}")
-        return cls(exponents=tuple(record["exponents"]),
-                   multipliers=np.asarray(record["multipliers"], dtype=float),
-                   log_normalizer=float(record["log_normalizer"]),
-                   support_shifted=tuple(record["support_shifted"]),
-                   shift=float(record["shift"]))
-
 
 @dataclass(frozen=True)
 class MaxEntCopula:
@@ -314,19 +290,6 @@ class MaxEntCopula:
         mv = np.sum(self.pdf(np.column_stack([nn.ravel(), gg.ravel()])).reshape(gg.shape)
                     * weights, axis=1)
         return float(max(np.max(np.abs(mu - 1.0)), np.max(np.abs(mv - 1.0))))
-
-    def to_record(self) -> dict:
-        return {"kind": "copula_2d", "exponents": [list(p) for p in self.exponents],
-                "multipliers": [float(v) for v in self.multipliers],
-                "log_normalizer": float(self.log_normalizer)}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "MaxEntCopula":
-        if record.get("kind") != "copula_2d":
-            raise ValueError(f"not a copula record: {record.get('kind')!r}")
-        return cls(exponents=tuple(tuple(p) for p in record["exponents"]),
-                   multipliers=np.asarray(record["multipliers"], dtype=float),
-                   log_normalizer=float(record["log_normalizer"]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,6 +404,35 @@ class _TensorFamily:
         return self.coef.T @ first, self.coef.T @ cov @ self.coef
 
 
+def _orthonormal_powers(powers, weights):
+    """Polynomials ``g`` orthonormal under ``weights`` with the span of the
+    rows of ``powers``, row 0 the constant.
+
+    A QR factorization of the powers under the weights gives
+    ``powers = R.T @ g``; the signs are fixed so that ``R`` has a positive
+    diagonal, which makes ``g[0]`` the constant 1.  Returns ``(g, R)``.
+    """
+    wn = weights / np.sum(weights)
+    q, r = np.linalg.qr((powers * np.sqrt(wn)).T)
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return sign[:, None] * (q / np.sqrt(wn)[:, None]).T, sign[:, None] * r
+
+
+def _feature_map(kron):
+    """Centre and whiten features given by their coefficients ``kron`` over
+    an orthonormal basis whose first element is the constant.
+
+    The constant row of ``kron`` is each feature's mean and the remaining
+    rows its centred part; a QR factorization of those rows,
+    ``kron[1:] = coef @ r``, whitens the features.  Returns
+    ``(center, coef, r)``.
+    """
+    coef, r = np.linalg.qr(kron[1:])
+    if np.any(np.abs(np.diag(r)) <= 1e-14 * np.max(np.abs(np.diag(r)))):
+        raise MaxEntError("features are linearly dependent on the support")
+    return kron[0], coef, r
+
+
 def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
     """Whitened basis of a copula family ``u**a * v**b`` on a tensor grid.
 
@@ -448,34 +440,25 @@ def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
     matrix of six powers per axis of a copula has condition number near
     1e17), so the solver works in a centred, orthonormal basis of the
     same span.  It is built per axis, both axes sharing ``nodes`` and
-    ``axis_weights``: a QR factorization of the ``k + 1`` axis powers
-    (the constant first) under the axis weights gives polynomials ``g``
-    with ``powers = R.T @ g``.  The products ``g_i(u) g_j(v)`` other than
-    the constant are then orthonormal and centred under the product
-    weights, and the Kronecker map ``C[(i, j), (a, b)] = R[i, a] R[j, b]``
-    writes every feature in them.  A QR factorization of that small
-    ``((k+1)**2 - 1, m)`` matrix whitens the features themselves, so a
-    hand-built set without margin features works alike.  No feature
-    matrix over the grid is built.
+    ``axis_weights``: :func:`_orthonormal_powers` turns the ``k + 1``
+    axis powers (the constant first) into polynomials ``g`` with
+    ``powers = R.T @ g``.  The products ``g_i(u) g_j(v)`` other than the
+    constant are then orthonormal and centred under the product weights,
+    and the Kronecker map ``C[(i, j), (a, b)] = R[i, a] R[j, b]`` writes
+    every feature in them.  :func:`_feature_map` whitens the features
+    through that small ``((k+1)**2, m)`` matrix, so a hand-built set
+    without margin features works alike.  No feature matrix over the
+    grid is built.
     """
     values = sorted({0.0} | {e for pair in exponents for e in pair})
     pos = {e: i for i, e in enumerate(values)}
     index = np.array([[pos[a], pos[b]] for a, b in exponents])
     powers = np.vstack([nodes ** e for e in values])
-    wn = axis_weights / np.sum(axis_weights)
-    q, r_axis = np.linalg.qr((powers * np.sqrt(wn)).T)
-    sign = np.where(np.diag(r_axis) < 0.0, -1.0, 1.0)
-    g = sign[:, None] * (q / np.sqrt(wn)[:, None]).T
-    r_axis = sign[:, None] * r_axis
+    g, r_axis = _orthonormal_powers(powers, axis_weights)
     scale = np.prod(np.max(np.abs(powers), axis=1)[index], axis=1)
     kron = np.column_stack([np.outer(r_axis[:, a], r_axis[:, b]).ravel()
                             for a, b in index]) / scale
-    # g[0] is the constant 1, so the constant row of the map is each
-    # feature's mean and the remaining rows its centred part
-    center = kron[0]
-    coef, r = np.linalg.qr(kron[1:])
-    if np.any(np.abs(np.diag(r)) <= 1e-14 * np.max(np.abs(np.diag(r)))):
-        raise MaxEntError("features are linearly dependent on the support")
+    center, coef, r = _feature_map(kron)
     pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, nodes.shape[0])
     family = _TensorFamily(powers=powers, index=index,
                            weights=np.outer(axis_weights, axis_weights), scale=scale,
@@ -489,7 +472,7 @@ def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
 class _DenseFamily:
     """A 1-D family with its features as a dense matrix on the support
     grid: six powers on 384 nodes cost little.  ``g`` holds the whitened
-    features of :func:`_whiten_dense`, with the contract of
+    features of :func:`_density_family`, with the contract of
     :class:`_TensorFamily`."""
 
     feats: np.ndarray
@@ -510,25 +493,18 @@ class _DenseFamily:
         return mom, (self.g * p) @ self.g.T - np.outer(mom, mom)
 
 
-def _whiten_dense(feats, w) -> _DenseFamily:
-    """Centred features, orthonormalized under the weights ``w`` by a QR
-    factorization of the weighted feature matrix (see :func:`_whiten`)."""
-    scale = np.max(np.abs(feats), axis=1)
-    if np.any(scale == 0.0):
-        raise MaxEntError("a feature vanishes identically on the support")
-    fs = feats / scale[:, None]
-    wn = w / np.sum(w)
-    center = fs @ wn
-    q, r = np.linalg.qr(((fs - center[:, None]) * np.sqrt(wn)).T)
-    if np.any(np.abs(np.diag(r)) <= 1e-14 * np.max(np.abs(np.diag(r)))):
-        raise MaxEntError("features are linearly dependent on the support")
-    g = (q / np.sqrt(wn)[:, None]).T
-    return _DenseFamily(feats=feats, weights=w, scale=scale, center=center, r=r, g=g)
-
-
 def _density_family(constraints):
+    """Whitened basis of a 1-D family on its support grid, built as one
+    axis of :func:`_whiten`: the powers with the constant first, their
+    orthonormal polynomials, then the feature map.  The whitened features
+    are kept as dense rows over the grid."""
     z, w = _support_nodes(*constraints.support)
-    return _whiten_dense(np.vstack([z ** e for e in constraints.exponents]), w)
+    powers = np.vstack([z ** e for e in (0.0, *constraints.exponents)])
+    g, r_axis = _orthonormal_powers(powers, w)
+    scale = np.max(np.abs(powers[1:]), axis=1)
+    center, coef, r = _feature_map(r_axis[:, 1:] / scale)
+    return _DenseFamily(feats=powers[1:], weights=w, scale=scale, center=center, r=r,
+                        g=coef.T @ g[1:])
 
 
 @functools.lru_cache(maxsize=8)
@@ -690,18 +666,18 @@ def _select(ladder, fit):
     return best
 
 
-def fit_density(sample, exponents=None, *, margin=SUPPORT_MARGIN) -> MaxEntDensity:
-    """Maximum-entropy density of a 1-D sample.
+def fit_density(sample, exponents=None) -> MaxEntDensity:
+    """Maximum-entropy density of a 1-D sample on the sample's range.
 
     With ``exponents`` given the fit uses exactly that set; with ``None``
     every set of :data:`MARGINAL_LADDER` is fitted and the one with the
     smallest BIC wins.
     """
     if exponents is not None:
-        return solve_maxent(fractional_moments_1d(sample, exponents, margin=margin))
+        return solve_maxent(fractional_moments_1d(sample, exponents))
 
     def fit(exps):
-        cons = fractional_moments_1d(sample, exps, margin=margin)
+        cons = fractional_moments_1d(sample, exps)
         density = solve_maxent(cons)
         return density, _bic(cons, density), 0.0
 

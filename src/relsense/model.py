@@ -211,11 +211,13 @@ class InputModel:
             d = len(marginals)
             if cov.shape != (d, d):
                 raise ValueError(f"covariance must be {d}x{d}, got {cov.shape}")
+            if not np.all(np.isfinite(cov)):
+                raise ValueError("covariance entries must be finite")
             if not np.allclose(cov, cov.T, atol=1e-12):
                 raise ValueError("covariance must be symmetric")
-            sd = np.sqrt(np.diag(cov))
-            if np.any(sd <= 0):
+            if np.any(np.diag(cov) <= 0):
                 raise ValueError("covariance diagonal must be strictly positive")
+            sd = np.sqrt(np.diag(cov))
             corr = cov / np.outer(sd, sd)
             try:
                 chol = np.linalg.cholesky(corr)

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,8 +65,12 @@ NUMBER_FIELDS = {
     "smc.rho": ("smc", "rho"),
     "smc.n_particles": ("smc", "n_particles"),
     "smc.kernel.a": ("smc", "kernel", "a"),
-    "density.support_margin": ("density", "support_margin"),
 }
+
+# json reads NaN and Infinity; an integer literal beyond the float range
+# is read exactly, as a Python int
+NON_FINITE = [math.nan, math.inf, -math.inf, 10**400]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "1e400"]
 
 
 class TestValidation:
@@ -80,7 +85,6 @@ class TestValidation:
         # unset exponent sets are chosen per fit by BIC
         assert config.marginal_exponents is None
         assert config.copula_exponents is None
-        assert config.support_margin == 0.0
         assert config.divergence == "total_variation"
         assert isinstance(config.smc.kernel, CrankNicolsonKernel)
 
@@ -106,6 +110,12 @@ class TestValidation:
         # a typo must not silently fall back to total variation
         small_toy1_config["indices"] = {"divergance": "kullback_leibler"}
         assert validate_config(small_toy1_config) == ["unknown key 'divergance' in indices"]
+        # the support padding is retired: each marginal is fitted on the
+        # range of its conditioned sample
+        del small_toy1_config["indices"]
+        small_toy1_config["density"] = {"support_margin": 0.0}
+        assert validate_config(small_toy1_config) == [
+            "unknown key 'support_margin' in density"]
 
     @pytest.mark.parametrize("section, path", [
         (("model",), "model"),
@@ -118,7 +128,7 @@ class TestValidation:
     ])
     def test_unknown_key_in_a_section_is_a_finding(self, small_toy1_config, section, path):
         small_toy1_config["event"] = {"threshold": 3.0}
-        small_toy1_config["density"] = {"support_margin": 0.0}
+        small_toy1_config["density"] = {"copula_exponents": [0.5, 1.0, 1.5]}
         small_toy1_config["inputs"] = {"marginals": [
             {"kind": "normal", "mean": 0.0, "sd": 1.0},
             {"kind": "normal", "mean": 0.0, "sd": 2.2360679774997896}]}
@@ -284,19 +294,45 @@ class TestValidation:
         assert validate_config(raw) == [
             f"inputs.dependence.covariance must be a numeric matrix, got {cov!r}"]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
     @pytest.mark.parametrize("path", NUMBER_FIELDS)
     def test_non_finite_number_is_a_finding(self, path, value):
-        # json reads NaN and Infinity; each is one finding, not a crash
+        # each is one finding, not a crash
         raw = table6_style_config(["/nonexistent/launcher-model"])
         set_path(raw, NUMBER_FIELDS[path], value)
         assert validate_config(raw) == [f"{path} must be finite, got {value}"]
 
     def test_non_finite_exponent_is_a_finding(self, small_toy1_config):
-        small_toy1_config["density"] = {"copula_exponents": [0.5, math.inf]}
-        assert validate_config(small_toy1_config) == [
-            "density.copula_exponents must be finite, got [0.5, inf]"]
+        for value in (math.inf, 10**400):
+            small_toy1_config["density"] = {"copula_exponents": [0.5, value]}
+            assert validate_config(small_toy1_config) == [
+                f"density.copula_exponents must be finite, got [0.5, {value}]"]
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_covariance_is_a_finding(self, value):
+        raw = table6_style_config(["/nonexistent/launcher-model"])
+        cov = np.eye(6).tolist()
+        cov[1][1] = value
+        raw["inputs"]["dependence"] = {"type": "gaussian", "covariance": cov}
+        assert validate_config(raw) == [
+            f"inputs.dependence.covariance must be finite, got {cov!r}"]
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_step_sd_is_a_finding(self, value):
+        raw = table6_style_config(["/nonexistent/launcher-model"])
+        sds = [1.0, value, 1.0, 1.0, 1.0, 1.0]
+        raw["smc"]["kernel"] = {"type": "random_walk", "step_sds": sds}
+        assert validate_config(raw) == [f"smc.kernel.step_sds must be finite, got {sds}"]
+
+    def test_negative_covariance_diagonal_is_a_finding(self):
+        raw = table6_style_config(["/nonexistent/launcher-model"])
+        cov = np.eye(6).tolist()
+        cov[5][5] = -1.0
+        raw["inputs"]["dependence"] = {"type": "gaussian", "covariance": cov}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            findings = validate_config(raw)
+        assert findings == ["inputs: covariance diagonal must be strictly positive"]
 
     def test_each_section_parser_runs_once(self, small_toy1_config, monkeypatch):
         from relsense import campaign
@@ -464,8 +500,8 @@ class TestRunCampaign:
     def test_parallel_equals_sequential_for_a_changed_config(self, small_toy1_config):
         # workers run the config they are handed, not a re-parse of its source
         config = replace(parse_config(small_toy1_config), master_seed=5)
-        seq = run_campaign(config, jobs=1, with_references=False)
-        par = run_campaign(config, jobs=2, with_references=False)
+        seq = run_campaign(config, jobs=1)
+        par = run_campaign(config, jobs=2)
         assert par.p_f_per_replication == seq.p_f_per_replication
         for a, b in zip(seq.per_replication, par.per_replication):
             for fam in FAMILY_ORDER:
@@ -513,11 +549,6 @@ class TestRunCampaign:
         small_toy1_config["inputs"]["dependence"] = {
             "type": "gaussian", "covariance": [[1.0, 0.0], [0.0, 5.0]]}
         assert _reference_table(parse_config(small_toy1_config)) is None
-
-    def test_references_can_be_disabled(self, small_toy1_config):
-        report = run_campaign(parse_config(small_toy1_config),
-                              with_references=False)
-        assert report.references is None
 
     def test_failing_replication_is_named(self, small_toy1_config):
         small_toy1_config["smc"]["max_levels"] = 1

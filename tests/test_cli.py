@@ -1,9 +1,11 @@
 """Command line behaviour: exit codes, printed output, written files."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,25 +76,58 @@ class TestValidate:
         assert "config error: inputs.dependence.covariance must be a numeric matrix" in err
 
     @pytest.mark.parametrize("command", ["validate", "estimate"])
-    @pytest.mark.parametrize("keys", [("replications",), ("smc", "kernel", "a"),
-                                      ("density", "support_margin")],
+    @pytest.mark.parametrize("keys", [("replications",), ("smc", "kernel", "a")],
                              ids=".".join)
     def test_non_finite_number_exits_2(self, tmp_path, small_toy1_config, capsys,
                                        keys, command):
         section = small_toy1_config
         for key in keys[:-1]:
             section = section.setdefault(key, {})
-        section[keys[-1]] = float("nan")
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(small_toy1_config))  # writes the literal NaN
-        argv = [command, "--config", str(path)]
-        if command == "estimate":
-            argv += ["--out", str(tmp_path / "out")]
-        code, out, err = run_cli(argv, capsys)
+        # json writes the literal NaN, and an integer too large for a float
+        for value in (float("nan"), 10**400):
+            section[keys[-1]] = value
+            path = tmp_path / "non_finite.json"
+            path.write_text(json.dumps(small_toy1_config))
+            argv = [command, "--config", str(path)]
+            if command == "estimate":
+                argv += ["--out", str(tmp_path / "out")]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert err == f"config error: {'.'.join(keys)} must be finite, got {value}\n"
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cov, finding", [
+        ([[1.0, 0.0], [0.0, -1.0]], "inputs: covariance diagonal must be strictly positive"),
+        ([[math.inf, 0.0], [0.0, 1.0]],
+         "inputs.dependence.covariance must be finite, got [[inf, 0.0], [0.0, 1.0]]"),
+    ], ids=["negative", "inf"])
+    def test_bad_covariance_diagonal_exits_2(self, tmp_path, capsys, cov, finding):
+        raw = {"model": {"command": ["ext"], "dimension": 2},
+               "inputs": {"marginals": [{"kind": "normal", "mean": 0.0, "sd": 1.0},
+                                        {"kind": "normal", "mean": 0.0, "sd": 1.0}],
+                          "dependence": {"type": "gaussian", "covariance": cov}},
+               "event": {"threshold": 1.0},
+               "smc": {"n_particles": 100, "rho": 0.5, "mutation_steps": 1,
+                       "final_sample_size": 10, "final_mh_steps": 1,
+                       "kernel": {"type": "random_walk", "step_sds": "match_input"}},
+               "replications": 1}
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["validate", "--config", str(path)], capsys)
         assert code == 2
         assert out == ""
-        assert err == f"config error: {'.'.join(keys)} must be finite, got nan\n"
-        assert not (tmp_path / "out").exists()
+        assert err == f"config error: {finding}\n"
+
+    def test_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"replications": 1' + "0" * 5000 + "}")
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: config is not valid JSON")
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -56,6 +56,12 @@ def test_empty_command_rejected():
         external_blackbox([], dimension=1)
 
 
+def test_command_string_is_rejected(echo_first_command):
+    # a string is not split on spaces into an argv list
+    with pytest.raises(TypeError, match="argv list"):
+        external_blackbox(" ".join(echo_first_command), dimension=2)
+
+
 def test_unstartable_command():
     with pytest.raises(EvaluationError, match="could not start"):
         external_blackbox(["/nonexistent/binary"], dimension=1)
@@ -68,8 +74,3 @@ def test_evaluate_after_close_fails(echo_first_command):
     with pytest.raises(EvaluationError):
         box.evaluate([2.0, 0.0])
 
-
-def test_shell_style_command_string(tmp_path, echo_first_command):
-    command = " ".join(echo_first_command)
-    with external_blackbox(command, dimension=2) as box:
-        assert box.evaluate([3.5, 1.0]) == 3.5

@@ -1,6 +1,7 @@
 """Input models, black-box wrappers and the built-in benchmarks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,15 @@ class TestInputModel:
             InputModel(margs, dependence="gaussian", covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="only meaningful"):
             InputModel(margs, covariance=np.eye(2))
+        # checked before any square root or division, so no NaN factor
+        # slips through and no RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cov, message in (([[1.0, 0.0], [0.0, -1.0]], "diagonal must be strictly"),
+                                 ([[math.inf, 0.0], [0.0, 1.0]], "entries must be finite"),
+                                 ([[1.0, math.nan], [math.nan, 1.0]], "entries must be finite")):
+                with pytest.raises(ValueError, match=message):
+                    InputModel(margs, dependence="gaussian", covariance=cov)
 
     def test_equality_with_gaussian_dependence(self):
         margs = (Marginal("normal", 0.0, 1.0), Marginal("lognormal", 0.0, 0.5))
