@@ -27,20 +27,9 @@ from .indices import (DivergenceSpec, EstimationError, IndexReport,
                       csiszar_indices, csiszar_marginal_index, delta_from_sample,
                       delta_index, rank_descending, scaled_target_index,
                       sobol_indicator_index, target_tv_index)
+from .oracle import (BudgetExhaustedError, OracleError, ReferenceValue,
+                     RejectionSample, chi2_references,
+                     rejection_conditioned_sample, toy1_references)
 from .campaign import (CampaignConfig, CampaignReport, CampaignRuntimeError,
                        ConfigError, load_config, parse_config, run_campaign,
                        run_replication, validate_config, write_outputs)
-
-# The reference tables are loaded on first use: a campaign that computes
-# none should not pay for importing them.
-_ORACLE_NAMES = ("BudgetExhaustedError", "OracleError", "ReferenceValue",
-                 "RejectionSample", "chi2_references",
-                 "rejection_conditioned_sample", "toy1_references")
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

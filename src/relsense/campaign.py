@@ -73,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracle
 from .external import external_blackbox
 from .indices import (DivergenceSpec, IndexReport, aggregate_replications,
                       clip_unit, csiszar_marginal_index, delta_index,
@@ -756,8 +756,6 @@ def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | N
             or config.divergence != "total_variation"):
         return None
     if config.builtin not in _REFERENCE_CACHE:
-        from . import oracle
-
         fn = oracle.toy1_references if config.builtin == "toy1" else oracle.chi2_references
         by_name = {rv.name: rv.value for rv in fn()}
         d = config.dimension

@@ -245,10 +245,11 @@ def sobol_indicator_index(density: MaxEntDensity, marginal: Marginal,
     grid.  Nominal draws cannot stand in for the integral: deep in the
     tail none of them lands in the fitted support, and the index of the
     dominant input would read exactly zero.  A nominal density that
-    vanishes inside the fitted support (a padded support on a uniform or
-    lognormal input) makes the variance infinite and is an error;
-    round-off can push the variance a hair below zero, and anything
-    beyond ``-1e-12`` is an error too.
+    vanishes inside the fitted support makes the variance infinite and
+    is an error.  A campaign fits each marginal on the range of its own
+    conditioned sample, so this only happens when a caller pairs a
+    density with a foreign marginal.  Round-off can push the variance a
+    hair below zero, and anything beyond ``-1e-12`` is an error too.
     """
     if not (0.0 <= p_f_hat < 1.0):
         raise ValueError(f"p_f_hat must lie in [0, 1), got {p_f_hat}")

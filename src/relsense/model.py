@@ -272,9 +272,9 @@ class InputModel:
                 chol = self._correlation_chol
                 zin = z[inside]
                 y = solve_triangular(chol, zin.T, lower=True).T
-                quad = 0.5 * (np.sum(zin * zin, axis=1) - np.sum(y * y, axis=1))
+                quad_form = 0.5 * (np.sum(zin * zin, axis=1) - np.sum(y * y, axis=1))
                 logdet = np.sum(np.log(np.diag(chol)))
-                out[inside] = out[inside] + quad - logdet
+                out[inside] = out[inside] + quad_form - logdet
         return out
 
 

@@ -12,18 +12,28 @@ unconditional N(0, 5) law, and the output is their sum through
 ``abs``; completing the square in that convolution gives the output
 density in closed form.  For ``additive_chi2`` the output given the
 first input is a shifted chi-square with one degree of freedom, and
-given the second a shifted standard normal; all integrals reduce to
-one- and two-dimensional quadrature against those densities.
+given the second a shifted standard normal; its density is a smooth
+one-dimensional integral.
 
-Every other integral uses composite Simpson rules on tensor grids whose
-sizes scale with ``refine``, so doubling it checks convergence; kinks
-from absolute values and truncation edges are handled by splitting at
-the known edge locations where possible and by grid density elsewhere.
+Every integral is a sum on one rule: Gauss-Legendre nodes on equal
+panels between fixed edges (:func:`_panels`); ``m`` nodes are exact
+for polynomials up to degree ``2m - 1`` on each panel.  ``refine``
+multiplies every panel count, so doubling it checks convergence.  The
+marginal deviations of ``additive_chi2`` have a kink where the
+conditional failure probability crosses ``p_f``; a panel edge sits
+there.  The unconditional output-dependence values, and the conditional
+ones of ``toy1``, are integrated over the output: given the output, the
+set on which the joint density exceeds the product of the marginals is
+an interval with closed-form ends (Scheffe's identity), so no absolute
+value is integrated.  Only the conditional output-dependence of
+``additive_chi2`` integrates an absolute value, whose kinks fall inside
+the panels.
 
 The normal law is written with ``scipy.special.ndtr`` (``sf(x)`` is
 ``ndtr(-x)``) and the closed-form density, which round exactly as
-``scipy.stats.norm`` does; ``scipy.integrate`` is imported only when a
-reference is computed.  Importing this module therefore loads neither.
+``scipy.stats.norm`` does.  Of scipy the module itself imports only
+``scipy.special``, and its rule shares no code with the entropy
+solver's.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import lambertw, ndtr, ndtri
 
 from .model import BlackBox, FailureEvent, InputModel
 
@@ -89,94 +99,87 @@ class RejectionSample:
         self.outputs.setflags(write=False)
 
 
+def _panels(edges, n_panels, m=8):
+    """Nodes and weights of an ``m``-point Gauss-Legendre rule on each of
+    ``n_panels`` equal panels of every region between consecutive
+    ``edges``, flattened into one rule over the whole range."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    cuts = np.unique(np.concatenate(
+        [np.linspace(a, b, n_panels + 1) for a, b in zip(edges[:-1], edges[1:])]))
+    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
+    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    return (mid + half * t).ravel(), (half * w).ravel()
+
+
+def _y_panels(lo, hi, k):
+    """Panel rule over an output range, with panels ``0.25 / k`` wide."""
+    return _panels((lo, hi), int(round(4 * (hi - lo))) * k)
+
+
+def _phi(x):
+    """Standard normal density, bit for bit ``scipy.stats.norm.pdf`` at a
+    fraction of its cost."""
+    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
 # ---------------------------------------------------------------------------
 # First example: y = x1 + 1{x1 > 3} * |x2|, failure when y > 3.
 # ---------------------------------------------------------------------------
 
 _T1_S = 3.0
 _T1_SD2 = np.sqrt(5.0)
-_T1_X_HI = 9.0       # truncated-normal mass beyond here is ~1e-16 of total
 _T1_Y_HI = 34.0      # requires |x2| > 25, mass ~1e-29
 
 
-def _phi(x):
-    """Standard normal density, bit for bit ``scipy.stats.norm.pdf`` at a
-    fraction of its cost on the million-point grids of the quadrature."""
-    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+def _t1_conv(y, t0, t1):
+    """Partial convolution ``int_t0^t1 f_|X2|(t) f_X1|F(y - t) dt`` in
+    closed form, for ``0 <= t0 <= t1 <= y - 3`` (vectorised).
 
+    Completing the square in ``t**2 / 10 + (y - t)**2 / 2`` leaves a
+    normal integral in ``t`` with mean ``5 y / 6`` and variance
+    ``s**2 = 5 / 6``, so the integral is
 
-def _simpson(*args, **kwargs):
-    """``scipy.integrate.simpson``, imported on first use."""
-    from scipy.integrate import simpson
-
-    return simpson(*args, **kwargs)
-
-
-def _t1_f1c(x):
-    """Conditional density of the first input given failure.
-
-    The closed edge matters numerically: quadrature grids hit the
-    truncation point exactly, where the density's limit value applies.
+        2 phi(y / sqrt 6) / sqrt 6
+        * [Phi((t1 - 5y/6) / s) - Phi((t0 - 5y/6) / s)] / sf(3).
     """
-    x = np.asarray(x, dtype=float)
-    return np.where(x >= _T1_S, _phi(x) / ndtr(-_T1_S), 0.0)
-
-
-def _t1_fabs2(t):
-    """Density of the absolute value of the second input."""
-    t = np.asarray(t, dtype=float)
-    return np.where(t >= 0.0, 2.0 * _phi(t / _T1_SD2) / _T1_SD2, 0.0)
+    s = np.sqrt(5.0 / 6.0)
+    root6 = np.sqrt(6.0)
+    window = ndtr((t1 - 5.0 * y / 6.0) / s) - ndtr((t0 - 5.0 * y / 6.0) / s)
+    return 2.0 * _phi(y / root6) / root6 * window / ndtr(-_T1_S)
 
 
 def _t1_fy(y):
-    """Conditional output density at the points ``y`` (vectorised).
-
-    The convolution of the truncated normal with the folded normal has a
-    closed form: completing the square in ``t**2 / 10 + (y - t)**2 / 2``
-    leaves a normal integral in ``t`` with mean ``5 y / 6`` and variance
-    ``5 / 6`` over ``[0, y - 3]``, so
-
-        f_Y(y) = 2 phi(y / sqrt 6) / sqrt 6
-                 * [Phi((y/6 - 3) / s) - Phi(-(5y/6) / s)] / sf(3),
-
-    with ``s**2 = 5 / 6``, for ``y >= 3`` and zero below.
-    """
+    """Conditional output density at the points ``y`` (vectorised): the
+    whole convolution, over ``t`` in ``[0, y - 3]``, and zero below 3."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    s = np.sqrt(5.0 / 6.0)
-    root6 = np.sqrt(6.0)
-    window = ndtr((y / 6.0 - _T1_S) / s) - ndtr(-(5.0 * y / 6.0) / s)
-    dens = 2.0 * _phi(y / root6) / root6 * window / ndtr(-_T1_S)
-    return np.where(y >= _T1_S, dens, 0.0)
+    return np.where(y >= _T1_S, _t1_conv(y, 0.0, y - _T1_S), 0.0)
 
 
-def _t1_delta_f(which, fy_spline, fy_cdf, n_outer=513, n_tau=2049):
-    """Conditional output-dependence of one input by 2-D quadrature.
+def _t1_delta_f(y, fy):
+    """Conditional output-dependence of both inputs, as integrands over
+    the output at the points ``y``.
 
-    Both reduce to an expected shifted-density mismatch: for the first
-    input the folded-normal density slides along the output axis, for
-    the second the truncated normal does.  The sliding density jumps at
-    the left edge of its support, so each inner integral is split
-    there: below the edge only the output density contributes (read off
-    the antiderivative), above it both densities are smooth.
+    Given ``Y = y`` the joint density ``f(x, y)`` and the product
+    ``f(x) f_Y(y)`` carry the same mass ``f_Y(y)``, so half their L1
+    distance is the mass of the positive part (Scheffe's identity).  For
+    the first input the joint density is ``f_X1|F(x) f_|X2|(y - x)``; it
+    exceeds the product where ``y - x`` is below the point ``d`` at
+    which the folded normal density falls to ``f_Y(y)``.  For the second
+    it is ``f_|X2|(t) f_X1|F(y - t)``, above the product where ``y - t``
+    is below the point ``c`` at which the truncated normal density falls
+    to ``f_Y(y)``; ``c > 3`` always.  Both sets are intervals with
+    closed-form ends, and the joint mass on them is a partial
+    convolution.
     """
-    if which == 1:
-        shifts = np.linspace(_T1_S, _T1_X_HI, n_outer)
-        weights = _t1_f1c(shifts)
-        edges = shifts
-        sliding = _t1_fabs2
-    else:
-        shifts = np.linspace(0.0, _T1_Y_HI - _T1_S, n_outer)
-        weights = _t1_fabs2(shifts)
-        edges = _T1_S + shifts
-        sliding = _t1_f1c
-    below = fy_cdf(np.clip(edges, _T1_S, _T1_Y_HI)) - fy_cdf(_T1_S)
-    tau = np.linspace(0.0, 1.0, n_tau)
-    span = _T1_Y_HI - edges
-    y = edges[:, None] + span[:, None] * tau[None, :]
-    mism = np.abs(sliding(y - shifts[:, None]) - fy_spline(y))
-    above = span * _simpson(mism, x=tau, axis=1)
-    inner = 0.5 * (below + above)
-    return float(_simpson(weights * inner, x=shifts))
+    sf3 = ndtr(-_T1_S)
+    d = np.sqrt(np.maximum(-10.0 * np.log(fy * np.sqrt(2.5 * np.pi)), 0.0))
+    t1 = np.minimum(d, y - _T1_S)
+    df1 = _t1_conv(y, 0.0, t1) - fy * (ndtr(t1 - y) - ndtr(-y)) / sf3
+    c = np.sqrt(-2.0 * np.log(np.sqrt(2.0 * np.pi) * sf3 * fy))
+    t0 = np.maximum(y - c, 0.0)
+    df2 = (_t1_conv(y, t0, y - _T1_S)
+           - 2.0 * fy * (ndtr((y - _T1_S) / _T1_SD2) - ndtr(t0 / _T1_SD2)))
+    return df1, df2
 
 
 def toy1_references(refine=1) -> list[ReferenceValue]:
@@ -184,28 +187,22 @@ def toy1_references(refine=1) -> list[ReferenceValue]:
 
     The failure probability, the marginal deviations of both inputs and
     the conditional output density have closed forms; the conditional
-    output-dependence values come from quadrature of the exact
-    conditional densities.  ``refine`` multiplies every grid size, so
+    output-dependence values are one quadrature over the output of
+    closed-form integrands.  ``refine`` multiplies every panel count, so
     doubling it checks convergence.
     """
     if refine < 1:
         raise ValueError("refine must be at least 1")
-    k = int(refine)
     p_f = float(ndtr(-_T1_S))
     eta1 = float(ndtr(_T1_S))
-    from scipy.interpolate import CubicSpline
-    ys = np.linspace(_T1_S, _T1_Y_HI, 8192 * k + 1)
-    fy_spline = CubicSpline(ys, _t1_fy(ys))
-    fy_cdf = fy_spline.antiderivative()
-    mass = float(fy_cdf(_T1_Y_HI) - fy_cdf(_T1_S))
+    ys, wy = _y_panels(_T1_S, _T1_Y_HI, int(refine))
+    fy = _t1_fy(ys)
+    mass = float(fy @ wy)
     if abs(mass - 1.0) > 5e-6:
         raise OracleError(
             f"conditional output density integrates to {mass:.8f}; "
             "quadrature did not converge")
-    df1 = _t1_delta_f(1, fy_spline, fy_cdf,
-                      n_outer=512 * k + 1, n_tau=2048 * k + 1)
-    df2 = _t1_delta_f(2, fy_spline, fy_cdf,
-                      n_outer=512 * k + 1, n_tau=2048 * k + 1)
+    df1, df2 = (float(v @ wy) for v in _t1_delta_f(ys, fy))
     return [
         ReferenceValue("p_f", p_f, "closed_form", 1e-12),
         ReferenceValue("eta_bar_1", eta1, "closed_form", 1e-12),
@@ -227,17 +224,29 @@ _C2_Y_LO = -10.0
 _C2_Y_HI = 46.0
 
 
-def _c2_fy(y, n_inner=2049):
-    """Unconditional output density at the points ``y`` (vectorised).
+def _c2_mix(fn, y, k=1, lo=0.0, hi=8.0):
+    """``int_lo^hi 2 phi(s) fn(y - s^2) ds`` at each of the points ``y``;
+    the limits may vary with ``y``.
 
-    Substituting the square root of the chi-square part turns the
-    convolution with the one-degree chi-square density into a smooth
-    integral: f_Y(y) = int_0^inf 2 phi(s) phi(y - s^2) ds.
+    Over ``[0, 8]`` this is the output density or survival function for
+    ``fn`` the normal one: substituting the square root of the
+    chi-square part turns the convolution with the one-degree chi-square
+    law into a smooth integral.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    s = np.linspace(0.0, 8.0, n_inner)
-    vals = 2.0 * _phi(s)[None, :] * _phi(y[:, None] - (s * s)[None, :])
-    return _simpson(vals, x=s, axis=1)
+    tau, w = _panels((0.0, 1.0), 16 * k, 16)
+    y, lo, hi = (np.asarray(v, dtype=float)[..., None] for v in (y, lo, hi))
+    s = lo + (hi - lo) * tau
+    return (2.0 * _phi(s) * fn(y - s * s) * (hi - lo)) @ w
+
+
+def _c2_fy(y, k=1):
+    """Unconditional output density at the points ``y`` (vectorised)."""
+    return _c2_mix(_phi, y, k)
+
+
+def _c2_sf(y, k=1):
+    """Unconditional output survival function at the points ``y``."""
+    return _c2_mix(lambda z: ndtr(-z), y, k)
 
 
 def _c2_surv1(x):
@@ -262,129 +271,81 @@ _C2_T_EDGES = (0.0, 3.0, 3.6, 4.2, 5.0, _C2_X_HI)
 _C2_X_EDGES = (-_C2_X_HI, 0.0, 1.8, 3.0, _C2_X_HI)
 
 
-def _region_simpson(point_fn, edges, n_per_region):
-    """Sum of composite Simpson integrals over consecutive regions."""
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = np.linspace(a, b, n_per_region)
-        total += float(_simpson(point_fn(xs), x=xs))
-    return total
+def _c2_delta(y, fy, k):
+    """Unconditional output-dependence of both inputs, as integrands over
+    the output at the points ``y``.
 
-
-def _c2_delta1(fy_grid, ys, edges, n_outer):
-    """Unconditional output-dependence of the first input.
-
-    The chi-square conditional density is singular at its left edge, so
-    the inner integral runs in the square-root variable where the
-    integrand is bounded: |f_{Y|X1} - f_Y| dy becomes
-    |2 phi(s) - 2 s f_Y(x + s^2)| ds.
+    As for the first example, half the L1 distance between the joint
+    density and the product given ``Y = y`` is the mass of the positive
+    part.  The joint density of the first input is ``phi(x) chi2(y - x)``
+    with a decreasing one-degree chi-square density; it exceeds the
+    product on ``y - u < x < y``, where ``chi2(u) = f_Y(y)`` solves to
+    ``u = W(1 / (2 pi f_Y^2))`` with ``W`` the Lambert W function.  The second input's is
+    ``2 phi(t) phi(y - t^2)`` on ``t >= 0``; it exceeds the product where
+    ``|y - t^2| < r``, with ``phi(r) = f_Y(y)``.  The joint mass on
+    either set is a partial form of the output density's own integral.
     """
-    from scipy.integrate import cumulative_simpson
-
-    cdf = cumulative_simpson(fy_grid, x=ys, initial=0.0)
-    s = np.linspace(0.0, 8.0, 2049)
-
-    def point(xs):
-        y_at = xs[:, None] + (s * s)[None, :]
-        fy_at = np.interp(y_at, ys, fy_grid, left=0.0, right=0.0)
-        body = _simpson(
-            np.abs(2.0 * _phi(s)[None, :] - 2.0 * s[None, :] * fy_at),
-            x=s, axis=1)
-        below = np.interp(xs, ys, cdf)
-        return 0.5 * (body + below) * _phi(xs)
-
-    return _region_simpson(point, edges, n_outer)
+    u = lambertw(1.0 / (2.0 * np.pi * fy * fy)).real
+    d1 = _c2_mix(_phi, y, k, hi=np.sqrt(u)) - fy * (ndtr(y) - ndtr(y - u))
+    r = np.sqrt(-2.0 * np.log(np.sqrt(2.0 * np.pi) * fy))
+    lo = np.sqrt(np.maximum(y - r, 0.0))
+    hi = np.sqrt(np.maximum(y + r, 0.0))
+    d2 = _c2_mix(_phi, y, k, lo, hi) - 2.0 * fy * (ndtr(hi) - ndtr(lo))
+    return d1, d2
 
 
-def _c2_delta2(fy_grid, ys, edges, n_outer):
-    """Unconditional output-dependence of the second input."""
+def _c2_delta_f(joint, h, weights, fyc, wyc, p_f):
+    """Conditional output-dependence of one input.
 
-    def point(ts):
-        shifted = _phi(ys[None, :] - (ts * ts)[:, None])
-        inner = 0.5 * _simpson(np.abs(shifted - fy_grid[None, :]),
-                                        x=ys, axis=1)
-        return 2.0 * _phi(ts) * inner
-
-    return _region_simpson(point, edges, n_outer)
-
-
-def _c2_delta_f1(fy_grid, ys, p_f, edges, n_outer):
-    """Conditional output-dependence of the first input."""
-    mask = ys >= _C2_S
-    yc = ys[mask]
-    fyc = fy_grid[mask]
-
-    def point(xs):
-        gap = yc[None, :] - xs[:, None]
-        chi = np.exp(-0.5 * gap) / np.sqrt(2.0 * np.pi * gap)
-        mism = np.abs(chi - (_c2_surv1(xs)[:, None] / p_f) * fyc[None, :])
-        inner = 0.5 * _simpson(mism, x=yc, axis=1) / p_f
-        return _phi(xs) * inner
-
-    return _region_simpson(point, edges, n_outer)
-
-
-def _c2_delta_f2(fy_grid, ys, p_f, edges, n_outer):
-    """Conditional output-dependence of the second input."""
-    mask = ys >= _C2_S
-    yc = ys[mask]
-    fyc = fy_grid[mask]
-
-    def point(ts):
-        shifted = _phi(yc[None, :] - (ts * ts)[:, None])
-        mism = np.abs(shifted - (_c2_surv2(ts)[:, None] / p_f) * fyc[None, :])
-        inner = 0.5 * _simpson(mism, x=yc, axis=1) / p_f
-        return 2.0 * _phi(ts) * inner
-
-    return _region_simpson(point, edges, n_outer)
+    ``joint[i, j]`` is the output density at the ``j``-th output node
+    given the input's ``i``-th node, ``h`` the failure probability given
+    that node and ``weights`` its weight times the input density.
+    """
+    mism = np.abs(joint - (h[:, None] / p_f) * fyc[None, :])
+    return float(weights @ (0.5 * (mism @ wyc) / p_f))
 
 
 def chi2_references(refine=1) -> list[ReferenceValue]:
     """Reference index values for the second example, all by quadrature
     against the closed-form conditional densities of the output.
-    ``refine`` multiplies every grid size, so doubling it checks
+    ``refine`` multiplies every panel count, so doubling it checks
     convergence."""
     if refine < 1:
         raise ValueError("refine must be at least 1")
-    from scipy.integrate import quad
-
     k = int(refine)
-    p_f, _ = quad(
-        lambda z: _phi(z) * ndtr(z * z - _C2_S),
-        -np.inf, np.inf, limit=400)
-    p_f = float(p_f)
+    p_f = float(_c2_sf(_C2_S, k))
 
-    # 128k points per unit keeps the step dyadic, so the failure
-    # threshold is exactly a grid point and the conditional restriction
-    # loses no sliver of mass
-    n_y = int(_C2_Y_HI - _C2_Y_LO) * 128 * k + 1
-    n_outer = 512 * k + 1
-    ys = np.linspace(_C2_Y_LO, _C2_Y_HI, n_y)
-    fy = _c2_fy(ys, n_inner=2048 * k + 1)
-    mass = float(_simpson(fy, x=ys))
-    cond_mass = float(_simpson(fy[ys >= _C2_S], x=ys[ys >= _C2_S]))
+    ys, wy = _y_panels(_C2_Y_LO, _C2_Y_HI, k)
+    fy = _c2_fy(ys, k)
+    yc, wyc = _y_panels(_C2_S, _C2_Y_HI, k)
+    fyc = _c2_fy(yc, k)
+    mass = float(fy @ wy)
+    cond_mass = float(fyc @ wyc)
     if abs(mass - 1.0) > 5e-6 or abs(cond_mass / p_f - 1.0) > 1e-4:
         raise OracleError(
             f"output density integrates to {mass:.8f} "
             f"(conditional mass ratio {cond_mass / p_f:.6f}); "
             "quadrature did not converge")
+    delta1, delta2 = (float(v @ wy) for v in _c2_delta(ys, fy, k))
 
-    delta1 = _c2_delta1(fy, ys, _C2_X_EDGES, n_outer)
-    delta2 = _c2_delta2(fy, ys, _C2_T_EDGES, n_outer)
-    delta_f1 = _c2_delta_f1(fy, ys, p_f, _C2_X_EDGES, n_outer)
-    delta_f2 = _c2_delta_f2(fy, ys, p_f, _C2_T_EDGES, n_outer)
-
-    eta1 = _region_simpson(
-        lambda x: 0.5 * np.abs(_phi(x) * (1.0 - _c2_surv1(x) / p_f)),
-        _C2_X_EDGES, n_outer)
-    eta2 = _region_simpson(
-        lambda t: np.abs(_phi(t) * (1.0 - _c2_surv2(t) / p_f)),
-        _C2_T_EDGES, n_outer)
-
-    e_h1_sq = _region_simpson(lambda x: _phi(x) * _c2_surv1(x) ** 2,
-                              _C2_X_EDGES, n_outer)
-    e_h2_sq = _region_simpson(lambda t: 2.0 * _phi(t) * _c2_surv2(t) ** 2,
-                              _C2_T_EDGES, n_outer)
+    # The failure probability given either input crosses p_f once on the
+    # outer axis, where the marginal deviations have a kink; a panel
+    # edge goes there.
+    x_kink = _C2_S - ndtri(0.5 * p_f) ** 2
+    t_kink = np.sqrt(_C2_S + ndtri(p_f))
+    xs, wx = _panels(sorted(_C2_X_EDGES + (x_kink,)), 8 * k)
+    ts, wt = _panels(sorted(_C2_T_EDGES + (t_kink,)), 8 * k)
+    h1 = _c2_surv1(xs)
+    h2 = _c2_surv2(ts)
+    gap = yc[None, :] - xs[:, None]
+    chi = np.exp(-0.5 * gap) / np.sqrt(2.0 * np.pi * gap)
+    delta_f1 = _c2_delta_f(chi, h1, wx * _phi(xs), fyc, wyc, p_f)
+    delta_f2 = _c2_delta_f(_phi(yc[None, :] - (ts * ts)[:, None]), h2,
+                           2.0 * wt * _phi(ts), fyc, wyc, p_f)
+    eta1 = float(wx @ (0.5 * np.abs(_phi(xs) * (1.0 - h1 / p_f))))
+    eta2 = float(wt @ np.abs(_phi(ts) * (1.0 - h2 / p_f)))
+    e_h1_sq = float(wx @ (_phi(xs) * h1 ** 2))
+    e_h2_sq = float(wt @ (2.0 * _phi(ts) * h2 ** 2))
     denom = p_f * (1.0 - p_f)
     s1 = (e_h1_sq - p_f * p_f) / denom
     s2 = (e_h2_sq - p_f * p_f) / denom

@@ -173,7 +173,8 @@ class TestReferences:
         assert code == 2
         assert out == ""
         assert "no tabulated references" in err
-        assert "cross-validating" in err
+        assert "design-point importance sampling" in err
+        assert "indices have no reference" in err
 
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(["references", "mystery"], capsys)

@@ -17,6 +17,8 @@ from relsense.model import Marginal, builtin_model
 from relsense.oracle import (
     BudgetExhaustedError,
     ReferenceValue,
+    _c2_fy,
+    _c2_sf,
     _t1_fy,
     chi2_references,
     rejection_conditioned_sample,
@@ -89,6 +91,33 @@ class TestReferenceTables:
             -12.0, 12.0, limit=400)
         assert err < 1e-8
         assert chi2_refs["p_f"].value == pytest.approx(val, abs=1e-9)
+
+    def test_chi2_output_laws_against_convolution(self):
+        # brute-force convolution of the normal first input with the
+        # one-degree chi-square law of the squared second input
+        x1, sq = stats.norm(), stats.chi2(df=1)
+        ys = np.linspace(-8.0, 40.0, 21)
+        dens = [integrate.quad(lambda u: sq.pdf(u) * x1.pdf(y - u), 0.0, max(y, 0.0) + 12.0,
+                               points=[y] if y > 0.0 else None, epsabs=0.0, epsrel=1e-12,
+                               limit=200)[0] for y in ys]
+        surv = [integrate.quad(lambda x: x1.pdf(x) * sq.sf(max(y - x, 0.0)), -12.0, 12.0,
+                               points=[y] if abs(y) < 12.0 else None, epsabs=0.0,
+                               epsrel=1e-12, limit=200)[0] for y in ys]
+        np.testing.assert_allclose(_c2_fy(ys), dens, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(_c2_sf(ys), surv, rtol=0.0, atol=1e-12)
+
+    def test_chi2_first_marginal_deviation_against_quad(self, chi2_refs):
+        # the failure probability given the first input, through the
+        # chi-square survival, crosses p_f once; quad gets it as a break point
+        x1, sq = stats.norm(), stats.chi2(df=1)
+        p_f = integrate.quad(lambda x: x1.pdf(x) * sq.sf(max(15.0 - x, 0.0)),
+                             -12.0, 12.0, limit=400)[0]
+        crossing = 15.0 - sq.isf(p_f)
+        val, err = integrate.quad(
+            lambda x: 0.5 * abs(x1.pdf(x) * (1.0 - sq.sf(max(15.0 - x, 0.0)) / p_f)),
+            -12.0, 12.0, points=[crossing], limit=400)
+        assert err < 1e-8
+        assert chi2_refs["eta_bar_1"].value == pytest.approx(val, abs=1e-9)
 
     def test_chi2_sobol_identity(self, chi2_refs):
         # first-order indices of an indicator cannot exceed one and the
