@@ -3,9 +3,11 @@
 Real models are rarely Python functions; they are executables.  The
 package talks to them over a line protocol: one evaluation request per
 line (input coordinates separated by spaces, full double precision on
-both sides), one scalar response per line.  This demo writes a tiny
-stand-in model to disk, talks to it directly, then runs the whole
-command line pipeline against it.
+both sides), one scalar response per line.  Replies come in request
+order; requests may be written before earlier replies are read, so a
+model that reads a line, answers it and flushes needs nothing more.
+This demo writes a tiny stand-in model to disk, talks to it directly,
+then runs the whole command line pipeline against it.
 """
 
 import json

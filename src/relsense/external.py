@@ -2,13 +2,23 @@
 
 The process reads one request line (``d`` whitespace-separated decimal
 floats) from stdin and writes one response line (a single decimal float)
-to stdout, strictly alternating.  The process is started once and lives
-for the whole campaign, so models with expensive start-up pay that cost
-a single time.
+to stdout, with replies in request order; requests may be written before
+earlier replies are read.  A model that reads a line, answers it and
+flushes needs nothing more.  The process is started once and lives for
+the whole campaign, so models with expensive start-up pay that cost a
+single time.
+
+A batch is one exchange: requests are written on a non-blocking pipe
+while replies are drained under one selector loop, so no pipe size can
+deadlock the two processes.  Replies are parsed as they arrive, but an
+error is raised only once every reply of the batch is read, so a bad reply
+leaves no stale line behind for the next call.
 """
 
 from __future__ import annotations
 
+import os
+import selectors
 import subprocess
 
 import numpy as np
@@ -16,6 +26,14 @@ import numpy as np
 from .model import BlackBox, EvaluationError
 
 __all__ = ["ExternalBlackBox", "external_blackbox"]
+
+# Rows encoded per request chunk and bytes taken per read of the replies.
+# Small chunks let the model start answering sooner when both processes
+# share one CPU, and keep the transient text of a batch (and the process's
+# peak memory) small; one format call per chunk still amortises the
+# per-value cost.
+CHUNK_ROWS = 256
+READ_BYTES = 1 << 14
 
 
 class ExternalBlackBox(BlackBox):
@@ -30,45 +48,103 @@ class ExternalBlackBox(BlackBox):
         self._argv = argv
         try:
             self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1)
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
         except OSError as exc:
             raise EvaluationError(f"could not start external model {argv!r}: {exc}") from exc
-        super().__init__(fn=self._query, dimension=dimension, name=" ".join(argv))
+        self._in_fd = self._proc.stdin.fileno()
+        self._out_fd = self._proc.stdout.fileno()
+        os.set_blocking(self._in_fd, False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._out_fd, selectors.EVENT_READ)
+        self._row_format = "%r " * (int(dimension) - 1) + "%r\n"
+        super().__init__(fn=lambda x: self._exchange(x[None, :])[0],
+                         dimension=dimension, name=" ".join(argv),
+                         batch_fn=self._exchange)
 
-    def _query(self, x: np.ndarray) -> float:
-        line = " ".join(format(v, ".17g") for v in x)
+    def _request(self, x: np.ndarray, i: int) -> str:
+        """Request line ``i`` of batch ``x`` as written, without its newline."""
+        return (self._row_format % tuple(x[i].tolist()))[:-1]
+
+    def _failure(self, what: str, x: np.ndarray, i: int, exit_code) -> EvaluationError:
+        return EvaluationError(
+            f"external model {self.name!r} {what} (exit code {exit_code}), "
+            f"request was {self._request(x, i)!r}")
+
+    def _exit_code(self):
+        """Exit code of a process that has stopped talking, or None."""
         try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise EvaluationError(
-                f"external model {self.name!r} is not accepting input "
-                f"(exit code {self._proc.poll()}), request was {line!r}") from exc
-        response = self._proc.stdout.readline()
-        if response == "":
-            raise EvaluationError(
-                f"external model {self.name!r} closed its output "
-                f"(exit code {self._proc.poll()}), request was {line!r}")
+            return self._proc.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            return None
+
+    def _exchange(self, x: np.ndarray) -> np.ndarray:
+        """Send every row of ``x`` and return the ``n`` replies in order."""
+        n = x.shape[0]
+        if self._proc.stdin.closed or self._proc.poll() is not None:
+            raise self._failure("is not accepting input", x, 0, self._proc.poll())
+        sel, in_fd, out_fd = self._selector, self._in_fd, self._out_fd
+        y, got, tail = np.empty(n), 0, b""  # replies, complete lines read, partial line
+        bad = None                       # first non-numeric reply, raised once all are read
+        chunk, sent, chunk_row, next_row = b"", 0, 0, 0
+        refused_at = None                # rows written in full when a write failed
+        sel.register(in_fd, selectors.EVENT_WRITE)
         try:
-            return float(response)
-        except ValueError as exc:
+            while got < n:
+                for key, _ in sel.select():
+                    if key.fd == out_fd:
+                        data = os.read(out_fd, READ_BYTES)
+                        if not data:
+                            raise self._failure("closed its output", x, got, self._exit_code())
+                        *lines, tail = (tail + data).split(b"\n")
+                        for i, reply in enumerate(lines[:n - got], got):
+                            try:
+                                y[i] = float(reply)
+                            except ValueError:
+                                bad = bad or (i, reply)
+                        got += len(lines)
+                        continue
+                    if sent == len(chunk):
+                        chunk_row, next_row = next_row, min(next_row + CHUNK_ROWS, n)
+                        chunk = ((self._row_format * (next_row - chunk_row))
+                                 % tuple(x[chunk_row:next_row].ravel().tolist())).encode()
+                        sent = 0
+                    try:
+                        sent += os.write(in_fd, memoryview(chunk)[sent:])
+                    except BlockingIOError:
+                        continue
+                    except OSError:
+                        refused_at = chunk_row + chunk.count(b"\n", 0, sent)
+                    if refused_at is not None or (sent == len(chunk) and next_row == n):
+                        sel.unregister(in_fd)
+                # requests written before the refusal may still be answered
+                if refused_at is not None and got >= refused_at:
+                    raise self._failure("is not accepting input", x, got, self._exit_code())
+        finally:
+            if in_fd in sel.get_map():
+                sel.unregister(in_fd)
+        if got != n or tail:
             raise EvaluationError(
-                f"non-numeric response line {response!r} from external model {self.name!r}") from exc
+                f"external model {self.name!r} wrote more than one line per request, "
+                f"last request was {self._request(x, n - 1)!r}")
+        if bad is not None:
+            i, reply = bad
+            raise EvaluationError(
+                f"non-numeric response line {reply.decode(errors='replace')!r} "
+                f"from external model {self.name!r}, request was {self._request(x, i)!r}")
+        return y
 
     def close(self):
         """Terminate the process; further evaluations will fail."""
+        self._selector.close()
+        self._proc.stdin.close()
         if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -298,8 +298,9 @@ class BlackBox:
     ``evaluate`` maps a length-``d`` vector to one float and increments the
     call counter by exactly one.  ``evaluate_batch`` maps an ``(n, d)``
     array to ``n`` floats and increments the counter by ``n``; built-in
-    models provide a vectorized backend, the generic fallback loops over
-    ``evaluate``'s function.  Non-finite outputs raise
+    models provide a vectorized backend and external models one pipe
+    exchange per batch, the generic fallback loops over ``evaluate``'s
+    function.  Non-finite outputs raise
     :class:`EvaluationError` instead of being passed on.
     """
 

@@ -1,12 +1,44 @@
 """Process-backed black boxes speaking the one-line-per-call protocol."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from relsense.external import external_blackbox
 from relsense.model import EvaluationError, builtin_model, sample_input
+
+
+def _script(tmp_path, source):
+    path = tmp_path / "box.py"
+    path.write_text(source)
+    return [sys.executable, str(path)]
+
+
+def _run_bounded(box, call, seconds=30.0):
+    """Run ``call()`` in a daemon thread; kill the model and fail if it hangs."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    if worker.is_alive():
+        box._proc.kill()
+        pytest.fail(f"external exchange still running after {seconds} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _request_text(row):
+    return " ".join(repr(v) for v in row.tolist())
 
 
 def test_echo_first_coordinate(echo_first_command):
@@ -23,12 +55,16 @@ def test_round_trips_full_double_precision(echo_first_command):
 
 
 def test_wrapper_matches_builtin(toy1_wrapper_command):
+    # 5000 rows of requests (about 200 KB) outgrow one pipe buffer
     builtin_box, model, _ = builtin_model("toy1")
-    x = sample_input(model, 100, seed=21)
+    x = sample_input(model, 5000, seed=21)
     with external_blackbox(toy1_wrapper_command, dimension=2) as box:
-        got = box.evaluate_batch(x)
-        assert box.call_count == 100
+        got = _run_bounded(box, lambda: box.evaluate_batch(x))
+        assert box.call_count == 5000
+        one = box.evaluate(x[0])
+        assert box.call_count == 5001
     np.testing.assert_array_equal(got, builtin_box.evaluate_batch(x))
+    assert one == got[0]
 
 
 def test_non_finite_response_rejected(nan_command):
@@ -74,3 +110,89 @@ def test_evaluate_after_close_fails(echo_first_command):
     with pytest.raises(EvaluationError):
         box.evaluate([2.0, 0.0])
 
+
+PADDED_REPLIES = """\
+import sys
+for line in sys.stdin:
+    print(line.split()[0].rjust(200), flush=True)
+"""
+
+BATCHED_REPLIES = """\
+import sys
+held = []
+for line in sys.stdin:
+    held.append(line.split()[0])
+    if len(held) == 1000:
+        sys.stdout.write("".join(v + "\\n" for v in held))
+        sys.stdout.flush()
+        held = []
+"""
+
+
+def test_padded_replies_do_not_deadlock(tmp_path):
+    # about 1 MB of replies to a 5000-row batch, far over one pipe buffer
+    x = np.random.default_rng(3).normal(size=(5000, 2))
+    with external_blackbox(_script(tmp_path, PADDED_REPLIES), dimension=2) as box:
+        got = _run_bounded(box, lambda: box.evaluate_batch(x))
+        assert box.call_count == 5000
+    np.testing.assert_array_equal(got, x[:, 0])
+
+
+def test_model_reading_ahead_does_not_deadlock(tmp_path):
+    # the model answers only after reading 1000 requests
+    x = np.random.default_rng(4).normal(size=(3000, 2))
+    with external_blackbox(_script(tmp_path, BATCHED_REPLIES), dimension=2) as box:
+        got = _run_bounded(box, lambda: box.evaluate_batch(x))
+    np.testing.assert_array_equal(got, x[:, 0])
+
+
+SPAM_AT_500 = """\
+import sys
+for i, line in enumerate(sys.stdin):
+    print("spam" if i == 500 else line.split()[0], flush=True)
+"""
+
+EXIT_AFTER_10 = """\
+import sys
+for i, line in enumerate(sys.stdin):
+    if i == 10:
+        sys.exit(3)
+    print(line.split()[0], flush=True)
+"""
+
+TWO_LINES_PER_REQUEST = """\
+import sys
+for line in sys.stdin:
+    v = line.split()[0]
+    sys.stdout.write(v + "\\n" + v + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_bad_reply_mid_batch_leaves_no_stale_reply(tmp_path):
+    x = np.random.default_rng(5).normal(size=(1000, 2))
+    with external_blackbox(_script(tmp_path, SPAM_AT_500), dimension=2) as box:
+        with pytest.raises(EvaluationError, match="non-numeric response") as info:
+            _run_bounded(box, lambda: box.evaluate_batch(x))
+        assert _request_text(x[500]) in str(info.value)
+        assert box.call_count == 0
+        # the next call is answered with its own reply, not a leftover one
+        assert _run_bounded(box, lambda: box.evaluate([7.5, 0.0])) == 7.5
+        assert box.call_count == 1
+
+
+def test_exit_mid_batch_names_first_unanswered_request(tmp_path):
+    x = np.random.default_rng(6).normal(size=(1000, 2))
+    with external_blackbox(_script(tmp_path, EXIT_AFTER_10), dimension=2) as box:
+        with pytest.raises(EvaluationError, match="exit code 3") as info:
+            _run_bounded(box, lambda: box.evaluate_batch(x))
+        assert f"request was {_request_text(x[10])!r}" in str(info.value)
+        assert box.call_count == 0
+        with pytest.raises(EvaluationError, match="not accepting input"):
+            box.evaluate([1.0, 2.0])
+
+
+def test_unrequested_output_is_rejected(tmp_path):
+    with external_blackbox(_script(tmp_path, TWO_LINES_PER_REQUEST), dimension=1) as box:
+        with pytest.raises(EvaluationError, match="more than one line per request"):
+            _run_bounded(box, lambda: box.evaluate([1.0]))
