@@ -25,6 +25,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -107,6 +108,7 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # imported modules live until exit; collections that skip them end fast
     args = _build_parser().parse_args(argv)
     handler = {"estimate": cmd_estimate, "references": cmd_references,
                "validate": cmd_validate}[args.command]

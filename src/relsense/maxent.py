@@ -32,6 +32,16 @@ per-axis recipe (its powers with the constant first, orthonormalized on
 its 384-node grid, then mapped to the features), and its whitened
 features are kept as dense rows over that grid.
 
+Each copula grid (128 points per axis for the solver, 256 for its drift
+check) is built once: its axis rule and one product-weight array are
+shared by every family on it and by :func:`unit_square_grid`, which
+alone builds tensor nodes.  On a grid the log density is formed in one
+buffer that is then turned in place into the weighted exponentials; the
+Newton loop carries those of an accepted line-search candidate to the
+next iterate and calls LAPACK itself, with the arguments of
+``scipy.linalg.cho_factor``, ``cho_solve`` and ``solve_triangular``, so
+every fit has the bits of those wrappers.
+
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
 :data:`COPULA_LADDER`) by the Bayesian information criterion, unless an
@@ -46,7 +56,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "MaxEntError",
@@ -204,7 +214,10 @@ def copula_fractional_moments(sample_xy, exponents=DEFAULT_EXPONENTS) -> MomentC
     v = _average_ranks(xy[:, 1]) / n
     margins = tuple((e, 0.0) for e in exps) + tuple((0.0, e) for e in exps)
     pairs = margins + tuple((r, s) for r in exps for s in exps)
-    targets = np.array([np.mean(u ** r * v ** s) for r, s in pairs])
+    # each axis power once: pu[r] * pv[s] is u ** r * v ** s, bit for bit
+    pu = {e: u ** e for e in (0.0, *exps)}
+    pv = {e: v ** e for e in (0.0, *exps)}
+    targets = np.array([np.mean(pu[r] * pv[s]) for r, s in pairs])
     return MomentConstraints(ndim=2, exponents=pairs, targets=targets,
                              support=((0.0, 1.0), (0.0, 1.0)), sample_size=n)
 
@@ -330,6 +343,21 @@ def _support_nodes(a, b, panels=8, nodes=48):
     return _composite_gl(a, b, panels, nodes)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_axis(n_axis):
+    """Axis rule of the copula grids on ``[0, 1]``: the nodes ``u = s**2``
+    and weights ``2 s ws`` of an ``n_axis``-point Gauss-Legendre rule in
+    ``s``, and their ``(n_axis, n_axis)`` product weights, ``u`` along
+    rows.  Read-only, and shared by :func:`unit_square_grid` and every
+    copula family on that grid."""
+    s, ws = _gauss_legendre(0.0, 1.0, n_axis)
+    u, wu = s * s, 2.0 * s * ws
+    wuv = np.outer(wu, wu)
+    for arr in (u, wu, wuv):
+        arr.setflags(write=False)
+    return u, wu, wuv
+
+
 @functools.lru_cache(maxsize=4)
 def unit_square_grid(n_axis=128):
     """Gauss-Legendre grid of the copula solver on the unit square.
@@ -339,20 +367,44 @@ def unit_square_grid(n_axis=128):
     tensor grid built from them: ``(n_axis**2, 2)`` nodes, ``v`` running
     fastest, with the product weights.  The 128-point grid is the one
     whose resolution the drift check of :func:`solve_maxent` certifies.
-    All arrays are read-only and shared.
+    All arrays are read-only and shared: the axis rule and the product
+    weights (a flat view) are the ones the copula families of that grid
+    hold.  Only the tensor nodes, which the solver never uses, are built
+    here.
     """
-    s, ws = _gauss_legendre(0.0, 1.0, n_axis)
-    u, wu = s * s, 2.0 * s * ws
+    u, wu, wuv = _unit_axis(n_axis)
     nodes = np.column_stack([np.repeat(u, n_axis), np.tile(u, n_axis)])
-    weights = np.outer(wu, wu).ravel()
-    for arr in (u, wu, nodes, weights):
-        arr.setflags(write=False)
-    return u, wu, nodes, weights
+    nodes.setflags(write=False)
+    return u, wu, nodes, wuv.ravel()
+
+
+def _weighted_exp(logq, w):
+    """``(m, w * exp(logq - m))`` with ``m = max(logq)``, formed in the
+    buffer of ``logq``, which is overwritten."""
+    m = np.max(logq)
+    np.subtract(logq, m, out=logq)
+    np.exp(logq, out=logq)
+    np.multiply(w, logq, out=logq)
+    return m, logq
 
 
 def _log_partition(logq, w):
-    m = np.max(logq)
-    return float(m + math.log(np.sum(w * np.exp(logq - m))))
+    """``log sum(w * exp(logq))``, overwriting ``logq``."""
+    m, qw = _weighted_exp(logq, w)
+    return float(m + math.log(np.sum(qw)))
+
+
+def _norm(v):
+    """Euclidean norm, as ``numpy.linalg.norm`` forms it for a vector."""
+    return math.sqrt(v.dot(v))
+
+
+def _solve_upper(r, b, trans):
+    """``scipy.linalg.solve_triangular(r, b, trans=trans)`` for the
+    C-ordered upper triangular ``r`` of :func:`_feature_map`, by the LAPACK
+    call that function makes: ``r`` goes in as its transpose, the lower
+    factor of the transposed system."""
+    return dtrtrs(r.T, b, lower=1, trans=1 - trans)[0]
 
 
 @dataclass(frozen=True)
@@ -384,13 +436,15 @@ class _TensorFamily:
         k1 = self.g.shape[0]
         coef = np.zeros((k1, k1))
         np.add.at(coef, (self.index[:, 0], self.index[:, 1]), lam)
-        return _log_partition(-(self.powers.T @ coef @ self.powers), self.weights)
+        logq = self.powers.T @ coef @ self.powers
+        return _log_partition(np.negative(logq, out=logq), self.weights)
 
     def whitened_log_q(self, lam):
         """Unnormalized log density at multipliers of the whitened features."""
         k1 = self.g.shape[0]
         theta = np.concatenate([[0.0], self.coef @ lam]).reshape(k1, k1)
-        return -(self.g.T @ theta @ self.g)
+        logq = self.g.T @ theta @ self.g
+        return np.negative(logq, out=logq)
 
     def moments(self, p):
         """Mean and covariance of the whitened features under the grid
@@ -433,7 +487,7 @@ def _feature_map(kron):
     return kron[0], coef, r
 
 
-def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
+def _whiten(exponents, nodes, axis_weights, weights) -> _TensorFamily:
     """Whitened basis of a copula family ``u**a * v**b`` on a tensor grid.
 
     Power features on one interval are close to collinear (the Gram
@@ -448,7 +502,8 @@ def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
     every feature in them.  :func:`_feature_map` whitens the features
     through that small ``((k+1)**2, m)`` matrix, so a hand-built set
     without margin features works alike.  No feature matrix over the
-    grid is built.
+    grid is built; ``weights``, the product of ``axis_weights`` with
+    itself, is held as given, shared with the other families of the grid.
     """
     values = sorted({0.0} | {e for pair in exponents for e in pair})
     pos = {e: i for i, e in enumerate(values)}
@@ -460,8 +515,7 @@ def _whiten(exponents, nodes, axis_weights) -> _TensorFamily:
                             for a, b in index]) / scale
     center, coef, r = _feature_map(kron)
     pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, nodes.shape[0])
-    family = _TensorFamily(powers=powers, index=index,
-                           weights=np.outer(axis_weights, axis_weights), scale=scale,
+    family = _TensorFamily(powers=powers, index=index, weights=weights, scale=scale,
                            center=center, r=r, coef=coef, g=g, pairs=pairs)
     for arr in vars(family).values():
         arr.setflags(write=False)
@@ -511,8 +565,7 @@ def _density_family(constraints):
 def _copula_family(exponents, n_axis=128):
     """The unit square does not depend on the data, so a copula family is
     whitened once per (exponent set, grid) and shared by every fit."""
-    u, wu, _, _ = unit_square_grid(n_axis)
-    return _whiten(exponents, u, wu)
+    return _whiten(exponents, *_unit_axis(n_axis))
 
 
 def _family(constraints):
@@ -541,38 +594,43 @@ def _newton(targets, family, tol, max_iter):
     invariant, so the iterates are those of the original features.
     Convergence is judged on the moments of the original features,
     ``r.T @ grad``, and the multipliers are returned in that basis.
+
+    The Cholesky factor, its solve and the triangular solves are the
+    LAPACK calls of ``scipy.linalg.cho_factor``, ``cho_solve`` and
+    ``solve_triangular``, made directly.  The weighted exponentials of an
+    accepted line-search candidate are those of the next iterate, so they
+    are carried over.
     """
     scale, center, r, w = family.scale, family.center, family.r, family.weights
     mu_s = targets / scale
-    mu_g = solve_triangular(r, mu_s - center, trans="T")
+    mu_g = _solve_upper(r, mu_s - center, trans=1)
     lam = np.zeros(targets.shape[0])
+    eye = np.eye(lam.shape[0])
+    mstar, qw = _weighted_exp(family.whitened_log_q(lam), w)
+    z = float(np.sum(qw))
     for it in range(1, max_iter + 1):
-        logq = family.whitened_log_q(lam)
-        mstar = np.max(logq)
-        qw = w * np.exp(logq - mstar)
-        z = float(np.sum(qw))
+        # a finite, positive z keeps the moments and so the Hessian finite
         if not np.isfinite(z) or z <= 0.0:
             raise InfeasibleConstraintsError("dual integrand degenerated; constraints "
                                              "are infeasible on this support")
-        mom, hess = family.moments(qw / z)
+        mom, hess = family.moments(np.divide(qw, z, out=qw))
         grad = mu_g - mom
         grad_s = r.T @ grad
-        if np.linalg.norm(grad_s * scale) <= tol and np.linalg.norm(grad_s) <= tol:
-            lam_orig = solve_triangular(r, lam) / scale
+        if _norm(grad_s * scale) <= tol and _norm(grad_s) <= tol:
+            lam_orig = _solve_upper(r, lam, trans=0) / scale
             return lam_orig, family.log_partition(lam_orig), it
         obj = float(lam @ mu_g + mstar + math.log(z))
         ridge = 0.0
         while True:
-            try:
-                chol = cho_factor(hess + ridge * np.eye(hess.shape[0]), lower=True)
+            chol, info = dpotrf(hess + ridge * eye, lower=1, clean=0)
+            if info <= 0:  # info > 0: a leading minor is not positive definite
                 break
-            except LinAlgError:
-                # the trace-relative floor alone can stall at zero when the
-                # dual iterate collapses the density onto a single node
-                ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
-                if ridge > 1e6:
-                    raise MaxEntError("dual Hessian is numerically singular")
-        step = -cho_solve(chol, grad)
+            # the trace-relative floor alone can stall at zero when the
+            # dual iterate collapses the density onto a single node
+            ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
+            if ridge > 1e6:
+                raise MaxEntError("dual Hessian is numerically singular")
+        step = -dpotrs(chol, grad, lower=1)[0]
         slope = float(grad @ step)
         if not slope < 0.0:
             raise MaxEntError("Newton step is not a descent direction; the dual "
@@ -580,15 +638,17 @@ def _newton(targets, family, tol, max_iter):
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
-            cand_obj = float(cand @ mu_g + _log_partition(family.whitened_log_q(cand), w))
+            cand_m, cand_qw = _weighted_exp(family.whitened_log_q(cand), w)
+            cand_z = float(np.sum(cand_qw))
+            cand_obj = float(cand @ mu_g + (cand_m + math.log(cand_z)))
             if cand_obj <= obj + 1e-4 * t * slope:
-                lam = cand
+                lam, mstar, qw, z = cand, cand_m, cand_qw, cand_z
                 break
             t *= 0.5
         else:
             raise MaxEntError("line search failed; the dual may be flat or the "
                               "constraints near the feasibility boundary")
-        if np.linalg.norm(lam) > 1e10:
+        if _norm(lam) > 1e10:
             raise InfeasibleConstraintsError("dual multipliers diverging; no density on "
                                              "the support matches the moment targets")
     raise MaxEntError(f"Newton did not reach gradient norm {tol} in {max_iter} iterations")

@@ -242,7 +242,9 @@ class InputModel:
         """``x = T(u)`` for each row of the ``(n, d)`` latent array ``u``."""
         z = u if self._correlation_chol is None else u @ self._correlation_chol.T
         x = self._locs + self._scales * z
-        if self._lognormal.any():
+        if self._lognormal.all():
+            np.exp(x, out=x)
+        elif self._lognormal.any():
             np.exp(x, out=x, where=self._lognormal)
         if self._uniform_cols.size:
             cols = self._uniform_cols

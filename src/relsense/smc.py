@@ -231,10 +231,10 @@ def _chain_sweep(u, y, gamma, steps, box, model, kernel, rng):
             log_ratio = half_sq - cand_half_sq
         y_cand = box.evaluate_batch(model.from_latent(cand))
         accept = (y_cand > gamma) & (np.log(np.maximum(r, 1e-300)) <= log_ratio)
-        u[accept] = cand[accept]
-        y[accept] = y_cand[accept]
+        np.copyto(u, cand, where=accept[:, None])
+        np.copyto(y, y_cand, where=accept)
         if not cn:
-            half_sq[accept] = cand_half_sq[accept]
+            np.copyto(half_sq, cand_half_sq, where=accept)
         accepted += int(np.count_nonzero(accept))
     return u, y, accepted / float(n * steps) if steps > 0 else float("nan")
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 
+from relsense import maxent
 from relsense.maxent import (
     COPULA_LADDER,
     DEFAULT_EXPONENTS,
@@ -17,12 +19,17 @@ from relsense.maxent import (
     MaxEntError,
     MomentConstraints,
     _bic,
+    _copula_family,
+    _log_partition,
+    _newton,
+    _solve_upper,
     copula_fractional_moments,
     dual_objective,
     fit_copula,
     fit_density,
     fractional_moments_1d,
     solve_maxent,
+    unit_square_grid,
 )
 from relsense.indices import delta_index
 
@@ -425,3 +432,109 @@ class TestSolverPinned:
             assert _bic(c, copula) == pytest.approx(bic, abs=1e-3), exps
         assert len(fit_copula(xy).exponents) == winner
 
+
+
+class _FakeFamily:
+    """Test double of the family contract of :func:`_newton`: features that
+    are already whitened (unit scale, zero centre, ``r`` the identity), the
+    rows of ``g`` on a grid with quadrature weights ``weights``.  A given
+    ``hessian`` replaces the covariance that :meth:`moments` reports."""
+
+    def __init__(self, g, weights, hessian=None):
+        self.g, self.weights, self.hessian = g, weights, hessian
+        k = g.shape[0]
+        self.scale, self.center, self.r = np.ones(k), np.zeros(k), np.eye(k)
+
+    def whitened_log_q(self, lam):
+        return -(lam @ self.g)
+
+    def log_partition(self, lam):
+        return math.log(np.sum(self.weights * np.exp(-(lam @ self.g))))
+
+    def moments(self, p):
+        mom = self.g @ p
+        cov = (self.g * p) @ self.g.T - np.outer(mom, mom)
+        return mom, cov if self.hessian is None else self.hessian
+
+
+class TestNewtonRidge:
+    """The ridge that :func:`_newton` adds when the dual Hessian has no
+    Cholesky factor."""
+
+    def _family(self, hessian=None):
+        # the second feature is zero on the grid, so the Hessian is PSD of rank 1
+        x, w = np.polynomial.legendre.leggauss(64)
+        return _FakeFamily(np.vstack([x, np.zeros_like(x)]), w, hessian)
+
+    def test_rank_deficient_hessian_gets_a_ridge_and_converges(self, monkeypatch):
+        infos = []
+        factor = maxent.dpotrf
+
+        def recording(a, **kwargs):
+            chol, info = factor(a, **kwargs)
+            infos.append(info)
+            return chol, info
+
+        monkeypatch.setattr(maxent, "dpotrf", recording)
+        family = self._family()
+        lam, log_z, _ = _newton(np.array([0.3, 0.0]), family, 1e-9, 50)
+        # the plain factorization fails on the zero pivot; a ridged one succeeds
+        assert infos[0] == 2 and 0 in infos
+        p = family.weights * np.exp(-(lam @ family.g) - log_z)
+        assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
+        assert family.g[0] @ p == pytest.approx(0.3, abs=1e-9)
+        assert lam[1] == 0.0
+
+    @pytest.mark.parametrize("hessian, message", [
+        # no ridge up to the ceiling makes it positive definite
+        (-1e7 * np.eye(2), "^dual Hessian is numerically singular$"),
+        # LAPACK factors NaNs without complaint; the step then fails
+        (np.full((2, 2), np.nan), "^Newton step is not a descent direction; the dual "
+                                  "Hessian is numerically singular$"),
+    ], ids=["indefinite", "nan"])
+    def test_unusable_hessian_is_numerically_singular(self, hessian, message):
+        with pytest.raises(MaxEntError, match=message):
+            _newton(np.array([0.3, 0.0]), self._family(hessian), 1e-9, 50)
+
+
+class TestSolverBitIdentity:
+    """The solver's shortcuts give the bits of the plain formulas."""
+
+    def test_copula_targets_are_per_feature_means(self):
+        rng = np.random.default_rng(23)
+        xy = np.round(rng.standard_normal((500, 2)), 1)  # many ties
+        u = stats.rankdata(xy[:, 0]) / xy.shape[0]
+        v = stats.rankdata(xy[:, 1]) / xy.shape[0]
+        for exps in COPULA_LADDER:
+            c = copula_fractional_moments(xy, exps)
+            expected = [np.mean(u ** r * v ** s) for r, s in c.exponents]
+            np.testing.assert_array_equal(c.targets, expected)
+
+    def test_drift_grid_is_the_unit_square_grid(self):
+        u, wu, nodes, weights = unit_square_grid(256)
+        s, ws = np.polynomial.legendre.leggauss(256)
+        s, ws = 0.5 + 0.5 * s, 0.5 * ws
+        np.testing.assert_array_equal(u, s * s)
+        np.testing.assert_array_equal(wu, 2.0 * s * ws)
+        np.testing.assert_array_equal(nodes[:, 0], np.repeat(u, 256))
+        pairs = tuple((r, t) for r in COPULA_LADDER[2] for t in COPULA_LADDER[2])
+        family = _copula_family(pairs, 256)
+        np.testing.assert_array_equal(family.powers[1], u)  # the row of u ** 1.0
+        np.testing.assert_array_equal(family.weights, np.outer(wu, wu))
+        assert np.shares_memory(family.weights, weights)
+
+    def test_log_partition_in_place(self):
+        rng = np.random.default_rng(24)
+        logq, w = 30.0 * rng.standard_normal((128, 128)), rng.random((128, 128))
+        m = np.max(logq)
+        expected = float(m + math.log(np.sum(w * np.exp(logq - m))))
+        assert _log_partition(logq.copy(), w) == expected
+
+    @pytest.mark.parametrize("k", [1, 48])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_triangular_solve_is_scipys(self, k, trans):
+        rng = np.random.default_rng(25)
+        _, r = np.linalg.qr(rng.standard_normal((k + 3, k)))
+        b = rng.standard_normal(k)
+        np.testing.assert_array_equal(_solve_upper(r, b, trans),
+                                      solve_triangular(r, b, trans=trans))
