@@ -16,12 +16,13 @@ given failure, in total variation or a user-chosen convex divergence:
 * ``csiszar_indices`` -- the generalization to an arbitrary convex
   divergence and output weight function.
 
-Every index is integrated on the Gauss-Legendre grid the max-entropy
-solver fitted its density on (:meth:`MaxEntDensity.quadrature` and
-:func:`~relsense.maxent.unit_square_grid`), so estimates are
-deterministic functions of the fitted densities and reach deep tails
-that no nominal draw does.  Estimates are clipped to their theoretical
-range by :func:`clip_unit` with a flag.
+Every density is fitted by :func:`~relsense.maxent.fit_density` or
+:func:`~relsense.maxent.fit_copula`, and every index is integrated on
+the Gauss-Legendre grid the max-entropy solver fitted that density on
+(:meth:`MaxEntDensity.quadrature` and :meth:`MaxEntCopula.grid_pdf`), so
+estimates are deterministic functions of the fitted densities and reach
+deep tails that no nominal draw does.  Estimates are clipped to their
+theoretical range by :func:`clip_unit` with a flag.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maxent import (MaxEntCopula, MaxEntDensity, copula_fractional_moments,
-                     fit_copula, fractional_moments_1d, solve_maxent,
-                     unit_square_grid, DEFAULT_EXPONENTS)
+from .maxent import MaxEntCopula, MaxEntDensity, fit_copula, fit_density
 from .model import Marginal
 
 __all__ = [
@@ -157,13 +156,14 @@ def _phi_integral(values, weights, what: str) -> float:
 def delta_index(copula: MaxEntCopula, divergence: DivergenceSpec | None = None) -> float:
     """Dependence index ``integral phi(c(u, v))`` over the unit square.
 
-    Integrated on the copula solver's grid (:func:`unit_square_grid`).
-    With the default total-variation generator this is half the L1
-    distance between the fitted copula density and independence.
+    Integrated at the copula solver's grid values
+    (:meth:`MaxEntCopula.grid_pdf`).  With the default total-variation
+    generator this is half the L1 distance between the fitted copula
+    density and independence.
     """
     phi = (divergence or DivergenceSpec.total_variation()).phi
-    _, _, nodes, weights = unit_square_grid()
-    return _phi_integral(phi(copula.pdf(nodes)), weights, "copula dependence index")
+    weights, c = copula.grid_pdf()
+    return _phi_integral(phi(c), weights, "copula dependence index")
 
 
 def delta_from_sample(sample_xy, exponents=None) -> float:
@@ -278,16 +278,17 @@ def sobol_indicator_index(density: MaxEntDensity, marginal: Marginal,
 
 def csiszar_indices(divergence: DivergenceSpec, weight: WeightFunction,
                     tilted_xy, marginal: Marginal, *,
-                    marginal_exponents=DEFAULT_EXPONENTS,
-                    copula_exponents=DEFAULT_EXPONENTS) -> tuple[float, float]:
+                    marginal_exponents=None,
+                    copula_exponents=None) -> tuple[float, float]:
     """Generalized pair (marginal index, dependence index) under a weight.
 
     ``tilted_xy`` holds ``(X_i, Y)`` pairs drawn from the law reweighted
     by ``w(Y)``; for ``w = indicator_above(S)`` that is exactly the
     conditioned output of a splitting run.  Returns
-    ``(eta_bar_phi, delta_phi)``.  With the total-variation generator
-    and an indicator weight this reproduces :func:`target_tv_index` and
-    :func:`delta_index` exactly.
+    ``(eta_bar_phi, delta_phi)``.  The fits are a campaign's (exponent
+    sets chosen by BIC unless pinned), so with the total-variation
+    generator and an indicator weight this reproduces its ``eta_bar``
+    and ``delta_f`` exactly.
     """
     xy = np.asarray(tilted_xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
@@ -296,8 +297,8 @@ def csiszar_indices(divergence: DivergenceSpec, weight: WeightFunction,
     if np.any(w == 0.0):
         raise EstimationError(f"tilted sample contains points where weight {weight.name!r} "
                               "vanishes; it cannot come from the tilted law")
-    density = solve_maxent(fractional_moments_1d(xy[:, 0], marginal_exponents))
-    copula = solve_maxent(copula_fractional_moments(xy, copula_exponents))
+    density = fit_density(xy[:, 0], marginal_exponents)
+    copula = fit_copula(xy, copula_exponents)
     return (csiszar_marginal_index(density, marginal, divergence),
             delta_index(copula, divergence))
 

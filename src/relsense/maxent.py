@@ -34,18 +34,19 @@ features are kept as dense rows over that grid.
 
 Each copula grid (128 points per axis for the solver, 256 for its drift
 check) is built once: its axis rule and one product-weight array are
-shared by every family on it and by :func:`unit_square_grid`, which
-alone builds tensor nodes.  On a grid the log density is formed in one
-buffer that is then turned in place into the weighted exponentials; the
-Newton loop carries those of an accepted line-search candidate to the
-next iterate and calls LAPACK itself, with the arguments of
-``scipy.linalg.cho_factor``, ``cho_solve`` and ``solve_triangular``, so
-every fit has the bits of those wrappers.
+shared by every family on it; a fitted copula is integrated at the
+solver's own grid values (:meth:`MaxEntCopula.grid_pdf`).  On a grid the
+log density is formed in one buffer that is then turned in place into
+the weighted exponentials; the Newton loop carries those of an accepted
+line-search candidate to the next iterate and calls LAPACK itself, with
+the arguments of ``scipy.linalg.cho_factor``, ``cho_solve`` and
+``solve_triangular``, so every fit has the bits of those wrappers.
 
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
-:data:`COPULA_LADDER`) by the Bayesian information criterion, unless an
-explicit exponent set pins one family.
+:data:`COPULA_LADDER`) by the Bayesian information criterion.  An
+explicit exponent set is a ladder of one rung, judged by the same
+resolution rule.
 """
 
 from __future__ import annotations
@@ -72,13 +73,12 @@ __all__ = [
     "dual_objective",
     "MARGINAL_LADDER",
     "COPULA_LADDER",
-    "unit_square_grid",
 ]
 
 SHIFT_EPS = 1e-6
 DEFAULT_EXPONENTS = (0.5, 1.0, 1.5)
 # Largest change of a copula's log normalizer from its 128-point solver
-# grid to a 256-point grid before a single fit warns of under-resolution.
+# grid to a 256-point grid before a direct solve warns of under-resolution.
 DRIFT_TOL = 1e-7
 
 # Candidate exponent sets, from sparse to rich, searched by BIC when a fit
@@ -293,16 +293,19 @@ class MaxEntCopula:
     def pdf(self, uv) -> np.ndarray:
         return np.exp(self.log_pdf(uv))
 
-    def uniformity_gap(self, n_grid: int = 201) -> float:
-        """Max deviation from 1 of both marginal densities (diagnostic)."""
-        nodes, weights, _, _ = unit_square_grid()
-        grid = np.linspace(0.0, 1.0, n_grid)
-        gg, nn = np.meshgrid(grid, nodes, indexing="ij")
-        mu = np.sum(self.pdf(np.column_stack([gg.ravel(), nn.ravel()])).reshape(gg.shape)
-                    * weights, axis=1)
-        mv = np.sum(self.pdf(np.column_stack([nn.ravel(), gg.ravel()])).reshape(gg.shape)
-                    * weights, axis=1)
-        return float(max(np.max(np.abs(mu - 1.0)), np.max(np.abs(mv - 1.0))))
+    def grid_pdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Product weights of the 128 x 128 solver grid and the density at
+        its nodes, ``u`` along rows, from the solver's own log density and
+        ``log Z``, so the values integrate to 1 to rounding."""
+        family = _copula_family(_copula_key(self.exponents), 128)
+        return family.weights, np.exp(family.log_q(self.multipliers) + self.log_normalizer)
+
+    def uniformity_gap(self) -> float:
+        """Max deviation from 1 of both marginal densities at the axis
+        nodes of the solver grid (diagnostic)."""
+        _, wu, _ = _unit_axis(128)
+        _, c = self.grid_pdf()
+        return float(max(np.max(np.abs(c @ wu - 1.0)), np.max(np.abs(wu @ c - 1.0))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,34 +351,13 @@ def _unit_axis(n_axis):
     """Axis rule of the copula grids on ``[0, 1]``: the nodes ``u = s**2``
     and weights ``2 s ws`` of an ``n_axis``-point Gauss-Legendre rule in
     ``s``, and their ``(n_axis, n_axis)`` product weights, ``u`` along
-    rows.  Read-only, and shared by :func:`unit_square_grid` and every
-    copula family on that grid."""
+    rows.  Read-only, and shared by every copula family on that grid."""
     s, ws = _gauss_legendre(0.0, 1.0, n_axis)
     u, wu = s * s, 2.0 * s * ws
     wuv = np.outer(wu, wu)
     for arr in (u, wu, wuv):
         arr.setflags(write=False)
     return u, wu, wuv
-
-
-@functools.lru_cache(maxsize=4)
-def unit_square_grid(n_axis=128):
-    """Gauss-Legendre grid of the copula solver on the unit square.
-
-    The substitution ``u = s**2`` removes the square-root kink of
-    fractional powers at zero.  Returns the axis nodes and weights and the
-    tensor grid built from them: ``(n_axis**2, 2)`` nodes, ``v`` running
-    fastest, with the product weights.  The 128-point grid is the one
-    whose resolution the drift check of :func:`solve_maxent` certifies.
-    All arrays are read-only and shared: the axis rule and the product
-    weights (a flat view) are the ones the copula families of that grid
-    hold.  Only the tensor nodes, which the solver never uses, are built
-    here.
-    """
-    u, wu, wuv = _unit_axis(n_axis)
-    nodes = np.column_stack([np.repeat(u, n_axis), np.tile(u, n_axis)])
-    nodes.setflags(write=False)
-    return u, wu, nodes, wuv.ravel()
 
 
 def _weighted_exp(logq, w):
@@ -431,13 +413,18 @@ class _TensorFamily:
     g: np.ndarray
     pairs: np.ndarray
 
-    def log_partition(self, lam) -> float:
-        """``log Z`` at multipliers ``lam`` of the original features."""
+    def log_q(self, lam):
+        """Unnormalized log density on the grid at multipliers ``lam`` of
+        the original features."""
         k1 = self.g.shape[0]
         coef = np.zeros((k1, k1))
         np.add.at(coef, (self.index[:, 0], self.index[:, 1]), lam)
         logq = self.powers.T @ coef @ self.powers
-        return _log_partition(np.negative(logq, out=logq), self.weights)
+        return np.negative(logq, out=logq)
+
+    def log_partition(self, lam) -> float:
+        """``log Z`` at multipliers ``lam`` of the original features."""
+        return _log_partition(self.log_q(lam), self.weights)
 
     def whitened_log_q(self, lam):
         """Unnormalized log density at multipliers of the whitened features."""
@@ -561,18 +548,22 @@ def _density_family(constraints):
                         g=coef.T @ g[1:])
 
 
+def _copula_key(exponents):
+    return tuple(tuple(float(e) for e in pair) for pair in exponents)
+
+
 @functools.lru_cache(maxsize=8)
-def _copula_family(exponents, n_axis=128):
+def _copula_family(exponents, n_axis):
     """The unit square does not depend on the data, so a copula family is
-    whitened once per (exponent set, grid) and shared by every fit."""
+    whitened once per (exponent set, grid) and shared by every fit.  The
+    grid has no default: ``lru_cache`` would key it apart when passed."""
     return _whiten(exponents, *_unit_axis(n_axis))
 
 
 def _family(constraints):
     if constraints.ndim == 1:
         return _density_family(constraints)
-    return _copula_family(tuple(tuple(float(e) for e in pair)
-                                for pair in constraints.exponents))
+    return _copula_family(_copula_key(constraints.exponents), 128)
 
 
 def dual_objective(constraints: MomentConstraints, lam) -> float:
@@ -626,7 +617,9 @@ def _newton(targets, family, tol, max_iter):
             if info <= 0:  # info > 0: a leading minor is not positive definite
                 break
             # the trace-relative floor alone can stall at zero when the
-            # dual iterate collapses the density onto a single node
+            # dual iterate collapses the density onto a single node (all a
+            # zero Hessian means on a real grid); the absolute floor carries
+            # that on to the divergence test, which names it infeasible
             ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
             if ridge > 1e6:
                 raise MaxEntError("dual Hessian is numerically singular")
@@ -657,7 +650,7 @@ def _newton(targets, family, tol, max_iter):
 def _solve_copula(constraints, tol=1e-6, max_iter=200):
     """Fitted copula and its quadrature drift, the change of ``log Z``
     from the 128-point solver grid to a 256-point one."""
-    exps = tuple(tuple(float(e) for e in pair) for pair in constraints.exponents)
+    exps = _copula_key(constraints.exponents)
     lam, log_z, _ = _newton(constraints.targets, _copula_family(exps, 128), tol, max_iter)
     drift = abs(_copula_family(exps, 256).log_partition(lam) - log_z)
     return MaxEntCopula(exponents=constraints.exponents, multipliers=lam,
@@ -729,36 +722,29 @@ def _select(ladder, fit):
 def fit_density(sample, exponents=None) -> MaxEntDensity:
     """Maximum-entropy density of a 1-D sample on the sample's range.
 
-    With ``exponents`` given the fit uses exactly that set; with ``None``
-    every set of :data:`MARGINAL_LADDER` is fitted and the one with the
-    smallest BIC wins.
+    With ``None`` every set of :data:`MARGINAL_LADDER` is fitted and the
+    one with the smallest BIC wins; an explicit ``exponents`` set is the
+    only rung of its ladder, so the fit uses exactly that set.
     """
-    if exponents is not None:
-        return solve_maxent(fractional_moments_1d(sample, exponents))
-
     def fit(exps):
         cons = fractional_moments_1d(sample, exps)
         density = solve_maxent(cons)
         return density, _bic(cons, density), 0.0
 
-    return _select(MARGINAL_LADDER, fit)
+    return _select(MARGINAL_LADDER if exponents is None else (exponents,), fit)
 
 
 def fit_copula(sample_xy, exponents=None) -> MaxEntCopula:
     """Maximum-entropy copula of a bivariate sample's ranks.
 
-    With ``exponents`` given the fit uses exactly that set; with ``None``
-    every set of :data:`COPULA_LADDER` is fitted and the one with the
-    smallest BIC among the fits the quadrature grid resolves well enough
-    to rank (see :func:`_select`); the drift check of :func:`solve_maxent`
-    measures the same resolution.
+    With ``None`` every set of :data:`COPULA_LADDER` is fitted and the one
+    with the smallest BIC among the fits the quadrature grid resolves well
+    enough to rank wins (see :func:`_select`); an explicit ``exponents``
+    set is a ladder of one rung, judged by the same rule.
     """
-    if exponents is not None:
-        return solve_maxent(copula_fractional_moments(sample_xy, exponents))
-
     def fit(exps):
         cons = copula_fractional_moments(sample_xy, exps)
         copula, drift = _solve_copula(cons)
         return copula, _bic(cons, copula), cons.sample_size * drift
 
-    return _select(COPULA_LADDER, fit)
+    return _select(COPULA_LADDER if exponents is None else (exponents,), fit)

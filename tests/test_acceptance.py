@@ -15,7 +15,7 @@ from relsense.campaign import parse_config, run_campaign, run_replication
 from relsense.indices import (DivergenceSpec, WeightFunction, delta_from_sample,
                               delta_index, csiszar_indices, rank_descending,
                               target_tv_index)
-from relsense.maxent import (copula_fractional_moments, fractional_moments_1d,
+from relsense.maxent import (fit_copula, fit_density, fractional_moments_1d,
                              solve_maxent, _composite_gl)
 from relsense.model import Marginal, builtin_model
 from relsense.oracle import rejection_conditioned_sample
@@ -296,10 +296,8 @@ def test_criterion_5_property_bundle():
     eta, delta = csiszar_indices(DivergenceSpec.total_variation(),
                                  WeightFunction.indicator_above(0.0),
                                  xy, marginal)
-    density = solve_maxent(fractional_moments_1d(xy[:, 0]))
-    copula = solve_maxent(copula_fractional_moments(xy))
-    eta_direct = target_tv_index(density, marginal)
-    delta_direct = delta_index(copula)
+    eta_direct = target_tv_index(fit_density(xy[:, 0]), marginal)
+    delta_direct = delta_index(fit_copula(xy))
     c.check("generalized estimator specializes exactly",
             eta == eta_direct and delta == delta_direct,
             f"eta {eta:.6g} vs {eta_direct:.6g}, "

@@ -1,8 +1,10 @@
 """Start-up cost: a campaign process imports only what it runs, and
 computing the reference tables loads no heavy scipy subpackage either."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +60,12 @@ def test_oracle_names_resolve_to_the_oracle_module():
 
     assert relsense.toy1_references is oracle.toy1_references
     assert relsense.OracleError is oracle.OracleError
+
+
+def test_every_module_export_resolves():
+    stale = []
+    for info in pkgutil.iter_modules(relsense.__path__):
+        module = importlib.import_module(f"relsense.{info.name}")
+        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []

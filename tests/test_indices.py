@@ -26,7 +26,10 @@ from relsense.maxent import (
     DEFAULT_EXPONENTS,
     MaxEntDensity,
     MomentConstraints,
+    _unit_axis,
     copula_fractional_moments,
+    fit_copula,
+    fit_density,
     fractional_moments_1d,
     solve_maxent,
 )
@@ -84,6 +87,12 @@ class GaussianCopulaDensity:
         det = 1.0 - self.rho ** 2
         quad = (self.rho ** 2 * (z1 ** 2 + z2 ** 2) - 2.0 * self.rho * z1 * z2) / (2.0 * det)
         return np.exp(-quad) / math.sqrt(det)
+
+    def grid_pdf(self):
+        """The closed form on the tensor nodes of the copula solver's grid."""
+        u, _, wuv = _unit_axis(128)
+        nodes = np.column_stack([np.repeat(u, u.size), np.tile(u, u.size)])
+        return wuv, self.pdf(nodes).reshape(wuv.shape)
 
 
 class TestDeltaIndex:
@@ -250,15 +259,19 @@ class TestCsiszarGeneralization:
     def test_total_variation_specializes_exactly(self):
         xy = self.tilted_sample()
         marginal = Marginal("normal", 0.0, 1.0)
-        eta, delta = csiszar_indices(DivergenceSpec.total_variation(),
-                                     WeightFunction.indicator_above(0.0),
-                                     xy, marginal)
-        density = solve_maxent(fractional_moments_1d(xy[:, 0]))
-        copula = solve_maxent(copula_fractional_moments(xy))
-        eta_direct = target_tv_index(density, marginal)
-        delta_direct = delta_index(copula)
-        assert eta == eta_direct
-        assert delta == delta_direct
+        tv, indicator = DivergenceSpec.total_variation(), WeightFunction.indicator_above(0.0)
+        # by default the densities are the campaign's ladder fits
+        eta, delta = csiszar_indices(tv, indicator, xy, marginal)
+        assert eta == target_tv_index(fit_density(xy[:, 0]), marginal)
+        assert delta == delta_index(fit_copula(xy))
+        # pinned exponent sets give the direct solves of those sets
+        eta, delta = csiszar_indices(tv, indicator, xy, marginal,
+                                     marginal_exponents=DEFAULT_EXPONENTS,
+                                     copula_exponents=DEFAULT_EXPONENTS)
+        density = solve_maxent(fractional_moments_1d(xy[:, 0], DEFAULT_EXPONENTS))
+        copula = solve_maxent(copula_fractional_moments(xy, DEFAULT_EXPONENTS))
+        assert eta == target_tv_index(density, marginal)
+        assert delta == delta_index(copula)
 
     def test_kl_exceeds_nothing_on_independence(self):
         rng = np.random.default_rng(34)

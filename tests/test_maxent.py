@@ -23,13 +23,13 @@ from relsense.maxent import (
     _log_partition,
     _newton,
     _solve_upper,
+    _unit_axis,
     copula_fractional_moments,
     dual_objective,
     fit_copula,
     fit_density,
     fractional_moments_1d,
     solve_maxent,
-    unit_square_grid,
 )
 from relsense.indices import delta_index
 
@@ -373,6 +373,18 @@ class TestExponentLadder:
         direct = solve_maxent(copula_fractional_moments(xy, (0.5, 1.0)))
         np.testing.assert_array_equal(pinned.multipliers, direct.multipliers)
 
+    def test_pinned_set_is_a_ladder_of_one(self):
+        # judged by the ladder's one-nat rule, the pinned richest rung is the
+        # fit the ladder itself picks, without the direct solve's drift warning
+        xy = toy1_pair(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pinned = fit_copula(xy, COPULA_LADDER[2])
+            chosen = fit_copula(xy)
+        assert pinned.exponents == chosen.exponents
+        np.testing.assert_array_equal(pinned.multipliers, chosen.multipliers)
+        assert pinned.log_normalizer == chosen.log_normalizer
+
     def test_unresolved_family_is_not_chosen(self):
         # the richest family fits this near-functional pair with a spike the
         # solver grid cannot see; ranked on its wrong normalizer it would win
@@ -497,6 +509,24 @@ class TestNewtonRidge:
             _newton(np.array([0.3, 0.0]), self._family(hessian), 1e-9, 50)
 
 
+class TestGridPdf:
+    """A fitted copula read off its solver grid."""
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("exps", COPULA_LADDER, ids=lambda e: f"{len(e)}_exponents")
+    def test_grid_values_integrate_to_one_and_are_the_pointwise_density(self, which, exps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            copula = solve_maxent(copula_fractional_moments(toy1_pair(which), exps))
+        w, c = copula.grid_pdf()
+        assert np.sum(w * c) == pytest.approx(1.0, abs=1e-12)
+        u, _, _ = _unit_axis(128)
+        nodes = np.column_stack([np.repeat(u, u.size), np.tile(u, u.size)])
+        pointwise = copula.pdf(nodes).reshape(c.shape)
+        positive = pointwise > 0.0
+        np.testing.assert_allclose(c[positive], pointwise[positive], rtol=1e-6)
+
+
 class TestSolverBitIdentity:
     """The solver's shortcuts give the bits of the plain formulas."""
 
@@ -511,17 +541,16 @@ class TestSolverBitIdentity:
             np.testing.assert_array_equal(c.targets, expected)
 
     def test_drift_grid_is_the_unit_square_grid(self):
-        u, wu, nodes, weights = unit_square_grid(256)
+        u, wu, wuv = _unit_axis(256)
         s, ws = np.polynomial.legendre.leggauss(256)
         s, ws = 0.5 + 0.5 * s, 0.5 * ws
         np.testing.assert_array_equal(u, s * s)
         np.testing.assert_array_equal(wu, 2.0 * s * ws)
-        np.testing.assert_array_equal(nodes[:, 0], np.repeat(u, 256))
+        np.testing.assert_array_equal(wuv, np.outer(wu, wu))
         pairs = tuple((r, t) for r in COPULA_LADDER[2] for t in COPULA_LADDER[2])
         family = _copula_family(pairs, 256)
         np.testing.assert_array_equal(family.powers[1], u)  # the row of u ** 1.0
-        np.testing.assert_array_equal(family.weights, np.outer(wu, wu))
-        assert np.shares_memory(family.weights, weights)
+        assert family.weights is wuv
 
     def test_log_partition_in_place(self):
         rng = np.random.default_rng(24)
