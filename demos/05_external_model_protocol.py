@@ -48,12 +48,11 @@ def main():
     )
     command = [sys.executable, str(model_path)]
 
-    # talk to it directly first
-    box = external_blackbox(command, dimension=2)
-    print(f"model([1.0, 2.0]) = {box.evaluate([1.0, 2.0])}")
-    print(f"model([0.5, -3.0]) = {box.evaluate([0.5, -3.0])}")
-    print(f"calls so far: {box.call_count}")
-    box.close()
+    # talk to it directly first; leaving the block ends the process
+    with external_blackbox(command, dimension=2) as box:
+        print(f"model([1.0, 2.0]) = {box.evaluate([1.0, 2.0])}")
+        print(f"model([0.5, -3.0]) = {box.evaluate([0.5, -3.0])}")
+        print(f"calls so far: {box.call_count}")
 
     # now a campaign config pointing at the same command
     config_path = workdir / "campaign.json"

@@ -80,7 +80,8 @@ from .indices import (DivergenceSpec, IndexReport, aggregate_replications,
                       rank_descending, scaled_target_index,
                       sobol_indicator_index)
 from .maxent import fit_copula, fit_density
-from .model import (BlackBox, FailureEvent, InputModel, Marginal, builtin_model)
+from .model import (BUILTIN_NAMES, BlackBox, FailureEvent, InputModel, Marginal,
+                    builtin_model)
 from .seeding import REPLICATION, seed_sequence
 from .smc import (CrankNicolsonKernel, GaussianRandomWalkKernel, SmcParams,
                   run_adaptive_smc)
@@ -94,7 +95,6 @@ __all__ = [
 # Families reported by every campaign, in table and CSV order.
 FAMILY_ORDER = ("delta_f", "eta_bar", "eta", "sobol_indicator")
 
-_BUILTIN_NAMES = ("toy1", "additive_chi2", "sdof_oscillator")
 
 _DIVERGENCES = {
     "total_variation": DivergenceSpec.total_variation,
@@ -175,6 +175,11 @@ def _check_keys(sec, path, known, findings):
     findings.extend(f"unknown key {key!r} in {path}" for key in sec if key not in known)
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number; ``true``/``false`` and strings are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value) -> bool:
     """Whether a JSON number is finite as a float; an integer beyond the
     float range is not."""
@@ -194,7 +199,7 @@ def _get_number(sec, path, findings, *, required=True, default=None,
             findings.append(f"{path} required")
         return default
     value = sec[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         findings.append(f"{path} must be a number, got {value!r}")
         return default
     if not _finite(value):
@@ -297,19 +302,16 @@ def _parse_inputs(raw, builtin_inputs, findings):
         if cov is None:
             findings.append("inputs.dependence.covariance required")
             return None, names
-        try:
-            covariance = np.asarray(cov, dtype=float)
-            finite = bool(np.all(np.isfinite(covariance)))
-        except OverflowError:
-            finite = False
-        except (TypeError, ValueError):
+        if not (isinstance(cov, list) and all(  # equally long rows of numbers
+                isinstance(row, list) and len(row) == len(cov[0])
+                and all(_is_number(v) for v in row) for row in cov)):
             findings.append(f"inputs.dependence.covariance must be a numeric matrix, "
                             f"got {cov!r}")
             return None, names
-        if not finite:
+        if not all(_finite(v) for row in cov for v in row):
             findings.append(f"inputs.dependence.covariance must be finite, got {cov!r}")
             return None, names
-        dependence = "gaussian"
+        dependence, covariance = "gaussian", np.asarray(cov, dtype=float)
     else:
         findings.append("inputs.dependence must be a string or an object")
         return None, names
@@ -331,8 +333,8 @@ def _parse_model(raw, findings):
         findings.append("model must give exactly one of model.builtin or model.command")
         return None, None, None
     if builtin is not None:
-        if builtin not in _BUILTIN_NAMES:
-            findings.append(f"model.builtin must be one of {', '.join(_BUILTIN_NAMES)}, "
+        if builtin not in BUILTIN_NAMES:
+            findings.append(f"model.builtin must be one of {', '.join(BUILTIN_NAMES)}, "
                             f"got {builtin!r}")
             return None, None, None
         return builtin, None, None
@@ -374,12 +376,15 @@ def _parse_kernel(sec, input_model, findings):
             findings.append(f"smc.kernel.step_sds must list one value per input "
                             f"({input_model.dimension}), got {len(sds)}")
             return None
-        if any(isinstance(s, (int, float)) and not _finite(s) for s in sds):
+        if not all(_is_number(s) for s in sds):
+            findings.append(f"smc.kernel.step_sds must be a list of numbers, got {sds!r}")
+            return None
+        if not all(_finite(s) for s in sds):
             findings.append(f"smc.kernel.step_sds must be finite, got {sds}")
             return None
         try:
             return GaussianRandomWalkKernel(tuple(float(s) for s in sds))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             findings.append(f"smc.kernel.step_sds: {exc}")
             return None
     findings.append(f"smc.kernel.type must be 'crank_nicolson' or 'random_walk', "
@@ -425,8 +430,7 @@ def _parse_exponents(sec, path, findings):
         return None
     entry = sec[name]
     if (not isinstance(entry, list) or not entry
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in entry)):
+            or not all(_is_number(v) for v in entry)):
         findings.append(f"{path} must be a non-empty list of numbers")
         return None
     if not all(_finite(v) for v in entry):
@@ -793,14 +797,9 @@ def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     start = time.perf_counter()
     records: list[dict] = []
     if jobs == 1:
-        box = _make_blackbox(config)
-        try:
+        with _make_blackbox(config) as box:
             for r in range(config.replications):
                 records.append(_guard(config, r, lambda: run_replication(config, r, box)))
-        finally:
-            close = getattr(box, "close", None)
-            if close:
-                close()
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_replication, config, r)

@@ -12,7 +12,8 @@ A batch is one exchange: requests are written on a non-blocking pipe
 while replies are drained under one selector loop, so no pipe size can
 deadlock the two processes.  Replies are parsed as they arrive, but an
 error is raised only once every reply of the batch is read, so a bad reply
-leaves no stale line behind for the next call.
+leaves no stale line behind for the next call.  The exchange is the box's
+one model function, so a single evaluation is a one-row exchange.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ class ExternalBlackBox(BlackBox):
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._out_fd, selectors.EVENT_READ)
         self._row_format = "%r " * (int(dimension) - 1) + "%r\n"
-        super().__init__(fn=lambda x: self._exchange(x[None, :])[0],
-                         dimension=dimension, name=" ".join(argv),
-                         batch_fn=self._exchange)
+        super().__init__(self._exchange, dimension, " ".join(argv))
 
     def _request(self, x: np.ndarray, i: int) -> str:
         """Request line ``i`` of batch ``x`` as written, without its newline."""
@@ -146,19 +145,13 @@ class ExternalBlackBox(BlackBox):
                 self._proc.wait()
         self._proc.stdout.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
 
 def external_blackbox(command, dimension: int) -> ExternalBlackBox:
     """Wrap an external command as a :class:`BlackBox`.
 
     ``command`` is an argv list, run without a shell.  The returned
     box is not thread safe (a single pipe pair is shared) and keeps the
-    process alive until :meth:`ExternalBlackBox.close` is called.
+    process alive until :meth:`ExternalBlackBox.close` is called (as on
+    leaving a ``with`` block).
     """
     return ExternalBlackBox(command, dimension)

@@ -4,7 +4,8 @@ The package estimates ``P(Y > S)`` for a scalar output ``Y = M(X)`` of a
 deterministic model ``M`` with random input vector ``X``.  This module
 provides the three ingredients: the input law (:class:`Marginal`,
 :class:`InputModel`), the model wrapper with exact call accounting
-(:class:`BlackBox`) and the failure event (:class:`FailureEvent`).
+(:class:`BlackBox`, around one vectorised function) and the failure
+event (:class:`FailureEvent`), plus the registry of built-in benchmarks.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "BlackBox",
     "sample_input",
     "builtin_model",
+    "BUILTIN_NAMES",
 ]
 
 _MARGINAL_KINDS = ("normal", "lognormal", "uniform")
@@ -297,19 +299,16 @@ class FailureEvent:
 class BlackBox:
     """Deterministic scalar model with exact call accounting.
 
-    ``evaluate`` maps a length-``d`` vector to one float and increments the
-    call counter by exactly one.  ``evaluate_batch`` maps an ``(n, d)``
-    array to ``n`` floats and increments the counter by ``n``; built-in
-    models provide a vectorized backend and external models one pipe
-    exchange per batch, the generic fallback loops over ``evaluate``'s
-    function.  Non-finite outputs raise
-    :class:`EvaluationError` instead of being passed on.
+    ``fn`` is vectorised: it maps an ``(n, d)`` array to ``n`` outputs.
+    ``evaluate_batch`` applies it once per batch and increments the call
+    counter by ``n``; ``evaluate`` is a one-row batch, counted once.  A
+    wrong output count and a non-finite output raise
+    :class:`EvaluationError` instead of being passed on.  Every box has
+    ``close``, which ``with`` calls; here it has nothing to release.
     """
 
-    def __init__(self, fn: Callable, dimension: int, name: str = "",
-                 batch_fn: Callable | None = None):
+    def __init__(self, fn: Callable, dimension: int, name: str = ""):
         self._fn = fn
-        self._batch_fn = batch_fn
         self.dimension = int(dimension)
         self.name = name
         self._count = 0
@@ -319,34 +318,35 @@ class BlackBox:
         return self._count
 
     def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dimension:
-            raise ValueError(f"expected {self.dimension} inputs, got {x.shape[0]}")
-        y = float(self._fn(x))
-        self._count += 1
-        if not math.isfinite(y):
-            raise EvaluationError(f"non-finite output {y!r} from model {self.name!r} at input {x.tolist()}")
-        return y
+        return float(self.evaluate_batch(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        n = x.shape[0]
         if x.shape[1] != self.dimension:
             raise ValueError(f"expected {self.dimension} inputs, got {x.shape[1]}")
-        if self._batch_fn is not None:
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                y = np.asarray(self._batch_fn(x), dtype=float).reshape(-1)
-            self._count += x.shape[0]
-        else:
-            y = np.empty(x.shape[0])
-            for i in range(x.shape[0]):
-                yi = float(self._fn(x[i]))
-                self._count += 1
-                y[i] = yi
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            y = np.asarray(self._fn(x), dtype=float).reshape(-1)
+        self._count += n
+        if y.shape[0] != n:
+            raise EvaluationError(
+                f"model {self.name!r} returned {y.shape[0]} outputs for {n} inputs")
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise EvaluationError(
-                f"non-finite output {y[bad]!r} from model {self.name!r} at input {x[bad].tolist()}")
+                f"non-finite output {float(y[bad])!r} from model {self.name!r} "
+                f"at input {x[bad].tolist()}")
         return y
+
+    def close(self):
+        """Release what the model holds; a plain function holds nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+        return False
 
     def __repr__(self):
         return f"BlackBox(name={self.name!r}, dimension={self.dimension}, calls={self._count})"
@@ -374,25 +374,22 @@ def _sdof_batch(x):
     return -3.0 * r + np.abs(2.0 * f / k * np.sin(np.sqrt(k / m) * t / 2.0))
 
 
-_BUILTINS = {}
-
-
-def _register(name, batch_fn, marginals, threshold, dependence="independent"):
-    _BUILTINS[name] = (batch_fn, marginals, threshold, dependence)
-
-
-_register("toy1", _toy1_batch,
-          (Marginal("normal", 0.0, 1.0), Marginal("normal", 0.0, math.sqrt(5.0))), 3.0)
-_register("additive_chi2", _chi2_batch,
-          (Marginal("normal", 0.0, 1.0), Marginal("normal", 0.0, 1.0)), 15.0)
-_register("sdof_oscillator", _sdof_batch,
-          (Marginal("lognormal", 2.0, 0.2),    # first spring stiffness
-           Marginal("lognormal", 0.2, 0.02),   # second spring stiffness
-           Marginal("lognormal", 0.6, 0.05),   # displacement capacity
-           Marginal("lognormal", 1.0, 0.05),   # mass
-           Marginal("lognormal", 1.0, 0.2),    # observation time
-           Marginal("lognormal", 1.0, 0.2)),   # load amplitude
-          0.0)
+# name -> (batch function, marginals, threshold)
+_BUILTINS = {
+    "toy1": (_toy1_batch,
+             (Marginal("normal", 0.0, 1.0), Marginal("normal", 0.0, math.sqrt(5.0))), 3.0),
+    "additive_chi2": (_chi2_batch,
+                      (Marginal("normal", 0.0, 1.0), Marginal("normal", 0.0, 1.0)), 15.0),
+    "sdof_oscillator": (_sdof_batch,
+                        (Marginal("lognormal", 2.0, 0.2),    # first spring stiffness
+                         Marginal("lognormal", 0.2, 0.02),   # second spring stiffness
+                         Marginal("lognormal", 0.6, 0.05),   # displacement capacity
+                         Marginal("lognormal", 1.0, 0.05),   # mass
+                         Marginal("lognormal", 1.0, 0.2),    # observation time
+                         Marginal("lognormal", 1.0, 0.2)),   # load amplitude
+                        0.0),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_model(name: str) -> tuple[BlackBox, InputModel, FailureEvent]:
@@ -404,7 +401,5 @@ def builtin_model(name: str) -> tuple[BlackBox, InputModel, FailureEvent]:
     """
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin model {name!r}, expected one of {sorted(_BUILTINS)}")
-    batch_fn, marginals, threshold, dependence = _BUILTINS[name]
-    box = BlackBox(fn=lambda x: batch_fn(x.reshape(1, -1))[0], dimension=len(marginals),
-                   name=name, batch_fn=batch_fn)
-    return box, InputModel(marginals, dependence), FailureEvent(threshold)
+    fn, marginals, threshold = _BUILTINS[name]
+    return BlackBox(fn, len(marginals), name), InputModel(marginals), FailureEvent(threshold)

@@ -25,6 +25,7 @@ from relsense.campaign import (
     validate_config,
     write_outputs,
 )
+from relsense.model import BUILTIN_NAMES
 from relsense.smc import CrankNicolsonKernel, GaussianRandomWalkKernel
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -200,8 +201,15 @@ class TestValidation:
 
     def test_unknown_builtin_name(self, small_toy1_config):
         small_toy1_config["model"] = {"builtin": "frobnicator"}
-        assert any("model.builtin must be one of" in f
-                   for f in validate_config(small_toy1_config))
+        assert (f"model.builtin must be one of {', '.join(BUILTIN_NAMES)}, got 'frobnicator'"
+                in validate_config(small_toy1_config))
+        assert set(BUILTIN_NAMES) == {"toy1", "additive_chi2", "sdof_oscillator"}
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_every_builtin_name_is_valid(self, small_toy1_config, name):
+        raw = {"model": {"builtin": name}, "smc": small_toy1_config["smc"],
+               "replications": 1}
+        assert validate_config(raw) == []
 
     def test_uniform_marginal_bounds(self):
         raw = {
@@ -275,8 +283,9 @@ class TestValidation:
         }
         assert any("symmetric" in f for f in validate_config(raw))
 
-    @pytest.mark.parametrize("cov", ["abc", [[1.0, 0.5], [0.5]]],
-                             ids=["string", "ragged"])
+    @pytest.mark.parametrize("cov", ["abc", [[1.0, 0.5], [0.5]], [["1", 0], [0, 1]],
+                                     [[True, 0], [0, True]]],
+                             ids=["string", "ragged", "numeric_strings", "booleans"])
     def test_non_numeric_covariance_is_a_finding(self, cov):
         raw = {
             "model": {"command": ["ext"], "dimension": 2},
@@ -370,6 +379,13 @@ class TestValidation:
         small_toy1_config["seed"] = 2**64
         assert any("seed must be <=" in f
                    for f in validate_config(small_toy1_config))
+
+    @pytest.mark.parametrize("sds", [[True, 1.0], ["1.5", 2], ["inf", 1.0]],
+                             ids=["boolean", "numeric_string", "inf_string"])
+    def test_non_numeric_step_sds_is_a_finding(self, small_toy1_config, sds):
+        small_toy1_config["smc"]["kernel"] = {"type": "random_walk", "step_sds": sds}
+        assert validate_config(small_toy1_config) == [
+            f"smc.kernel.step_sds must be a list of numbers, got {sds!r}"]
 
     def test_step_sds_dimension_checked(self, small_toy1_config):
         small_toy1_config["smc"]["kernel"] = {"type": "random_walk",

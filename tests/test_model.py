@@ -356,16 +356,46 @@ class TestBlackBox:
             y[y > 1.0] = np.nan
             return y
 
-        box = BlackBox(fn=lambda x: batch(x.reshape(1, -1))[0], dimension=1,
-                       name="patchy", batch_fn=batch)
+        box = BlackBox(batch, dimension=1, name="patchy")
         with pytest.raises(EvaluationError, match=r"\[2\.0\]"):
             box.evaluate_batch(np.array([[0.0], [2.0], [0.5]]))
 
-    def test_loop_fallback_without_batch_fn(self):
-        box = BlackBox(fn=lambda x: float(x[0]) * 2.0, dimension=1, name="double")
-        y = box.evaluate_batch(np.array([[1.0], [2.5]]))
-        np.testing.assert_array_equal(y, [2.0, 5.0])
+    def test_evaluate_is_a_one_row_batch(self):
+        rows = []
+
+        def double(x):
+            rows.append(x.shape)
+            return 2.0 * x[:, 0]
+
+        box = BlackBox(double, dimension=1, name="double")
+        assert box.evaluate([2.5]) == 5.0
+        assert type(box.evaluate(np.array([1.0]))) is float
+        assert rows == [(1, 1), (1, 1)]
         assert box.call_count == 2
+
+    def test_overflow_in_evaluate_is_an_evaluation_error(self):
+        box = BlackBox(lambda x: np.exp(x[:, 0]), dimension=1, name="exp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError,
+                               match=r"non-finite output inf .* at input \[1000\.0\]"):
+                box.evaluate([1000.0])
+
+    @pytest.mark.parametrize("fn", [lambda x: 1.0, lambda x: np.zeros(2)],
+                             ids=["scalar", "two"])
+    def test_wrong_output_count_is_an_evaluation_error(self, fn):
+        box = BlackBox(fn, dimension=1, name="short")
+        with pytest.raises(EvaluationError,
+                           match=r"model 'short' returned [12] outputs for 3 inputs"):
+            box.evaluate_batch(np.zeros((3, 1)))
+        assert box.call_count == 3
+
+    def test_every_box_closes(self):
+        box, _, _ = builtin_model("toy1")
+        with box as held:
+            assert held is box
+            held.evaluate([0.0, 0.0])
+        box.close()
 
 
 class TestFailureEvent:

@@ -25,8 +25,7 @@ TOY1_PF = stats.norm.sf(3.0)  # failure is first coordinate above 3
 
 
 def identity_box():
-    return BlackBox(fn=lambda x: float(x[0]), dimension=1, name="identity",
-                    batch_fn=lambda x: x[:, 0])
+    return BlackBox(lambda x: x[:, 0], dimension=1, name="identity")
 
 
 def toy1_params(**overrides):
@@ -119,8 +118,7 @@ class TestCallAccounting:
         # every latent candidate maps into the support, so even uniform
         # and lognormal inputs spend exactly one call per candidate
         model = InputModel((Marginal("uniform", -1.0, 2.0), Marginal("lognormal", 0.0, 0.5)))
-        box = BlackBox(fn=lambda x: float(x[0] + x[1]), dimension=2, name="sum",
-                       batch_fn=lambda x: x[:, 0] + x[:, 1])
+        box = BlackBox(lambda x: x[:, 0] + x[:, 1], dimension=2, name="sum")
         params = SmcParams(n_particles=200, rho=0.5, mutation_steps=2,
                            final_sample_size=300, final_mh_steps=2, kernel=kernel, seed=3)
         result = run_adaptive_smc(box, model, FailureEvent(4.0), params)
@@ -255,8 +253,7 @@ class TestFailureModes:
             run_adaptive_smc(box, model, event, params)
 
     def test_tied_outputs(self):
-        box = BlackBox(fn=lambda x: 1.0, dimension=1, name="flat",
-                       batch_fn=lambda x: np.ones(x.shape[0]))
+        box = BlackBox(lambda x: np.ones(x.shape[0]), dimension=1, name="flat")
         model = InputModel((Marginal("normal", 0.0, 1.0),))
         params = SmcParams(n_particles=100, rho=0.5, mutation_steps=1,
                            final_sample_size=10, final_mh_steps=1,
