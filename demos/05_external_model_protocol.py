@@ -6,8 +6,9 @@ line (input coordinates separated by spaces, full double precision on
 both sides), one scalar response per line.  Replies come in request
 order; requests may be written before earlier replies are read, so a
 model that reads a line, answers it and flushes needs nothing more.
-This demo writes a tiny stand-in model to disk, talks to it directly,
-then runs the whole command line pipeline against it.
+This demo writes a tiny stand-in model to a temporary directory, talks
+to it directly, then runs the whole command line pipeline against it;
+the directory is removed at the end.
 """
 
 import json
@@ -35,8 +36,12 @@ def campaign_config(command):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="relsense_demo_"))
+    with tempfile.TemporaryDirectory(prefix="relsense_demo_") as tmp:
+        run(Path(tmp))
 
+
+def run(workdir):
+    """Write the stand-in model into ``workdir`` and drive it."""
     # the "simulator": reads "x1 x2" per line, answers x1 + 0.1 * x2**2
     model_path = workdir / "model.py"
     model_path.write_text(
@@ -70,7 +75,7 @@ def main():
     report = json.loads((out_dir / "report.json").read_text())["report"]
     print(f"\np_f_hat = {report['p_f_hat']:.4e}, "
           f"total model calls = {report['calls']['total']}")
-    print(f"outputs under {out_dir}")
+    print(f"outputs: {', '.join(sorted(p.name for p in out_dir.iterdir()))}")
 
 
 if __name__ == "__main__":

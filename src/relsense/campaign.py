@@ -73,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, oracle
+from . import __version__
 from .external import external_blackbox
 from .indices import (DivergenceSpec, IndexReport, aggregate_replications,
                       clip_unit, csiszar_marginal_index, delta_index,
@@ -255,10 +255,10 @@ def _parse_marginal(entry, path, findings):
         return None
 
 
-def _parse_inputs(raw, builtin_inputs, findings):
+def _parse_inputs(raw, builtin_inputs, model_known, findings):
     sec = raw.get("inputs")
     if sec is None:
-        if builtin_inputs is None:
+        if builtin_inputs is None and model_known:
             findings.append("inputs section required for external models")
             return None, None
         return builtin_inputs, None
@@ -460,10 +460,13 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
             findings.append(f"unknown top-level section {key!r}")
 
     builtin, command, dimension = _parse_model(raw, findings)
+    # neither a builtin nor a command: the model section is invalid, so
+    # what the model needs from the other sections is unknown
+    model_known = bool(builtin or command)
     builtin_inputs = event = None
     if builtin:
         _, builtin_inputs, event = builtin_model(builtin)
-    input_model, names = _parse_inputs(raw, builtin_inputs, findings)
+    input_model, names = _parse_inputs(raw, builtin_inputs, model_known, findings)
     if (command and input_model is not None and dimension is not None
             and input_model.dimension != dimension):
         findings.append(f"model.dimension is {dimension} but inputs.marginals "
@@ -476,7 +479,7 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
 
     event_sec = _get_section(raw, "event", findings, required=False)
     if event_sec is None:
-        if event is None:
+        if event is None and model_known:
             findings.append("event.threshold required")
     else:
         _check_keys(event_sec, "event", ("threshold",), findings)
@@ -743,7 +746,31 @@ class CampaignReport:
         return "\n".join(rows)
 
 
-_REFERENCE_CACHE: dict[str, dict[str, tuple[float, ...]]] = {}
+# The values of oracle.toy1_references() and chi2_references(), written
+# out so that a campaign neither computes them nor loads the oracle's
+# scipy; a test recomputes them and asserts equality.
+_REFERENCES = {
+    "toy1": {
+        "p_f": 0.0013498980316300933,
+        "eta_bar_1": 0.9986501019683699,
+        "eta_bar_2": 0.0,
+        "delta_f_1": 0.0817168628441666,
+        "delta_f_2": 0.7685728988704497,
+        "sobol_indicator_1": 1.0,
+        "sobol_indicator_2": 0.0,
+    },
+    "additive_chi2": {
+        "p_f": 0.00012387018347977564,
+        "delta_1": 0.49307871768273714,
+        "delta_2": 0.30486846945151025,
+        "delta_f_1": 0.0009746005218469029,
+        "delta_f_2": 0.4196496142385456,
+        "eta_bar_1": 0.2092729998155479,
+        "eta_bar_2": 0.9991261404372821,
+        "sobol_indicator_1": 4.045201020060731e-05,
+        "sobol_indicator_2": 0.7074020943780216,
+    },
+}
 
 
 def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | None:
@@ -759,19 +786,15 @@ def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | N
             or config.event.threshold != canon_event.threshold
             or config.divergence != "total_variation"):
         return None
-    if config.builtin not in _REFERENCE_CACHE:
-        fn = oracle.toy1_references if config.builtin == "toy1" else oracle.chi2_references
-        by_name = {rv.name: rv.value for rv in fn()}
-        d = config.dimension
-        table = {"p_f": (by_name["p_f"],)}
-        for fam in FAMILY_ORDER:
-            if fam == "eta":
-                table[fam] = tuple(2.0 * by_name["p_f"] * by_name[f"eta_bar_{i + 1}"]
-                                   for i in range(d))
-            else:
-                table[fam] = tuple(by_name[f"{fam}_{i + 1}"] for i in range(d))
-        _REFERENCE_CACHE[config.builtin] = table
-    return _REFERENCE_CACHE[config.builtin]
+    by_name = _REFERENCES[config.builtin]
+    table = {"p_f": (by_name["p_f"],)}
+    for fam in FAMILY_ORDER:
+        if fam == "eta":
+            table[fam] = tuple(2.0 * by_name["p_f"] * by_name[f"eta_bar_{i + 1}"]
+                               for i in range(config.dimension))
+        else:
+            table[fam] = tuple(by_name[f"{fam}_{i + 1}"] for i in range(config.dimension))
+    return table
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:

@@ -38,9 +38,10 @@ shared by every family on it; a fitted copula is integrated at the
 solver's own grid values (:meth:`MaxEntCopula.grid_pdf`).  On a grid the
 log density is formed in one buffer that is then turned in place into
 the weighted exponentials; the Newton loop carries those of an accepted
-line-search candidate to the next iterate and calls LAPACK itself, with
-the arguments of ``scipy.linalg.cho_factor``, ``cho_solve`` and
-``solve_triangular``, so every fit has the bits of those wrappers.
+line-search candidate to the next iterate.  Its linear algebra is
+``numpy.linalg`` alone: one Cholesky factorization tests each ridged
+Hessian for positive definiteness and one general solve gives the step,
+so a fit loads no scipy.
 
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
@@ -57,7 +58,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from numpy.linalg import LinAlgError, cholesky
 
 __all__ = [
     "MaxEntError",
@@ -382,11 +383,10 @@ def _norm(v):
 
 
 def _solve_upper(r, b, trans):
-    """``scipy.linalg.solve_triangular(r, b, trans=trans)`` for the
-    C-ordered upper triangular ``r`` of :func:`_feature_map`, by the LAPACK
-    call that function makes: ``r`` goes in as its transpose, the lower
-    factor of the transposed system."""
-    return dtrtrs(r.T, b, lower=1, trans=1 - trans)[0]
+    """Solve ``r x = b`` (``trans=0``) or ``r.T x = b`` (``trans=1``) for
+    the upper triangular ``r`` of :func:`_feature_map`.  numpy has no
+    triangular solve, so this is a general one; it runs twice per fit."""
+    return np.linalg.solve(r.T if trans else r, b)
 
 
 @dataclass(frozen=True)
@@ -586,11 +586,12 @@ def _newton(targets, family, tol, max_iter):
     Convergence is judged on the moments of the original features,
     ``r.T @ grad``, and the multipliers are returned in that basis.
 
-    The Cholesky factor, its solve and the triangular solves are the
-    LAPACK calls of ``scipy.linalg.cho_factor``, ``cho_solve`` and
-    ``solve_triangular``, made directly.  The weighted exponentials of an
-    accepted line-search candidate are those of the next iterate, so they
-    are carried over.
+    Each ridge attempt is one :func:`numpy.linalg.cholesky`, which
+    raises :class:`numpy.linalg.LinAlgError` when the ridged Hessian is
+    not positive definite; the step is then one
+    :func:`numpy.linalg.solve` with that matrix, and the factor itself is
+    not used.  The weighted exponentials of an accepted line-search
+    candidate are those of the next iterate, so they are carried over.
     """
     scale, center, r, w = family.scale, family.center, family.r, family.weights
     mu_s = targets / scale
@@ -613,9 +614,12 @@ def _newton(targets, family, tol, max_iter):
         obj = float(lam @ mu_g + mstar + math.log(z))
         ridge = 0.0
         while True:
-            chol, info = dpotrf(hess + ridge * eye, lower=1, clean=0)
-            if info <= 0:  # info > 0: a leading minor is not positive definite
+            ridged = hess + ridge * eye
+            try:
+                cholesky(ridged)
                 break
+            except LinAlgError:  # a leading minor is not positive definite
+                pass
             # the trace-relative floor alone can stall at zero when the
             # dual iterate collapses the density onto a single node (all a
             # zero Hessian means on a real grid); the absolute floor carries
@@ -623,7 +627,7 @@ def _newton(targets, family, tol, max_iter):
             ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
             if ridge > 1e6:
                 raise MaxEntError("dual Hessian is numerically singular")
-        step = -dpotrs(chol, grad, lower=1)[0]
+        step = -np.linalg.solve(ridged, grad)
         slope = float(grad @ step)
         if not slope < 0.0:
             raise MaxEntError("Newton step is not a descent direction; the dual "

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "EvaluationError",
@@ -40,6 +38,71 @@ class EvaluationError(RuntimeError):
 # closed forms below round exactly as scipy.stats does.
 _SQRT_2PI = np.sqrt(2 * np.pi)
 _LOG_SQRT_2PI = np.log(2 * np.pi) / 2.0
+
+# Cephes' rational approximations behind ndtr (Moshier; after Cody, Math.
+# Comp. 1969), coefficients from the highest power down.  ``erf(x) =
+# x T(x**2) / U(x**2)`` for ``|x| < 1``; ``erfc(x) = exp(-x**2) P(x) /
+# Q(x)`` for ``1 <= x < 8`` and ``exp(-x**2) R(x) / S(x)`` from 8 on.
+# The denominators are monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_SQRT1_2 = math.sqrt(0.5)
+# erfc(x) is taken as 0 where x**2 exceeds Cephes' MAXLOG, log of the largest double
+_ERFC_ZERO = math.sqrt(7.09782712893383996843e2)
+
+
+def _polevl(v, coefs):
+    """``sum(coefs[k] * v**(n - k))`` by Horner's rule, in Cephes' order."""
+    acc = v * coefs[0] + coefs[1]
+    for c in coefs[2:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def ndtr(a) -> np.ndarray:
+    """Standard normal cdf of each element, as an array of ``a``'s shape.
+
+    Cephes' scheme, as in ``scipy.special.ndtr``: with ``x = a / sqrt(2)``,
+    ``(1 + erf(x)) / 2`` for ``|x| < 1/sqrt(2)``, else ``erfc(|x|) / 2``,
+    taken from 1 for ``x > 0``; ``erfc`` is ``1 - erf`` below 1.  The
+    regions are gathered and computed separately, so each element costs
+    one rational function.  NaN gives NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    y = np.zeros_like(x)
+    core = z < 1.0
+    i = np.flatnonzero(core)
+    if i.size:
+        xi = x[i]
+        v = xi * xi
+        erf = xi * _polevl(v, _ERF_T) / _polevl(v, _ERF_U)
+        y[i] = np.where(z[i] < _SQRT1_2, 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
+    # past _ERFC_ZERO y stays 0 (1 after the flip); NaN takes the last
+    # region, whose mask is written to admit it, and stays NaN
+    below_8 = z < 8.0
+    for rows, num, den in ((~core & below_8, _ERFC_P, _ERFC_Q),
+                           (~below_8 & ~(z > _ERFC_ZERO), _ERFC_R, _ERFC_S)):
+        i = np.flatnonzero(rows)
+        if i.size:
+            zi = z[i]
+            y[i] = 0.5 * (np.exp(-zi * zi) * _polevl(zi, num) / _polevl(zi, den))
+    np.subtract(1.0, y, out=y, where=x >= _SQRT1_2)
+    return y.reshape(a.shape)
 
 
 def _lognormal_logpdf(y, s):
@@ -80,13 +143,15 @@ class Marginal:
     ``uniform``
         ``log f = -log b``; ``F = clip(z, 0, 1)``; ``F^-1(u) = u b + a``.
 
-    Support and edge conventions are scipy.stats' to the last bit: the
-    lognormal support is ``x > 0``, so ``logpdf`` is ``-inf`` at
-    ``x <= 0``; the uniform support is the closed interval
-    ``0 <= z <= 1``; ``quantile`` is ``nan`` outside ``[0, 1]`` and gives
-    the support ends, ``-inf``/``inf`` (``0`` for the lognormal,
-    ``loc``/``loc + scale`` for the uniform), at ``u = 0, 1``; NaN in
-    gives NaN out.
+    ``ndtr`` is this module's numpy form of Cephes' normal cdf, within a
+    few units in the last place of ``scipy.special.ndtr``; ``ndtri`` is
+    scipy's, imported inside :meth:`quantile`.  Support and edge
+    conventions are scipy.stats' to the last bit: the lognormal support
+    is ``x > 0``, so ``logpdf`` is ``-inf`` at ``x <= 0``; the uniform
+    support is the closed interval ``0 <= z <= 1``; ``quantile`` is
+    ``nan`` outside ``[0, 1]`` and gives the support ends,
+    ``-inf``/``inf`` (``0`` for the lognormal, ``loc``/``loc + scale``
+    for the uniform), at ``u = 0, 1``; NaN in gives NaN out.
     """
 
     kind: str
@@ -146,6 +211,8 @@ class Marginal:
         return np.clip(z, 0.0, 1.0)[()]
 
     def quantile(self, u):
+        from scipy.special import ndtri
+
         u = np.asarray(u, dtype=float)
         a, b = self._affine()
         if self.kind == "normal":
@@ -269,6 +336,9 @@ class InputModel:
             logs = np.column_stack([m.logpdf(x[:, i]) for i, m in enumerate(self.marginals)])
             out = logs.sum(axis=1)
             if self.dependence == "gaussian":
+                from scipy.linalg import solve_triangular
+                from scipy.special import ndtri
+
                 inside = np.isfinite(out)
                 z = np.empty_like(x)
                 for i, m in enumerate(self.marginals):

@@ -31,9 +31,10 @@ the panels.
 
 The normal law is written with ``scipy.special.ndtr`` (``sf(x)`` is
 ``ndtr(-x)``) and the closed-form density, which round exactly as
-``scipy.stats.norm`` does.  Of scipy the module itself imports only
-``scipy.special``, and its rule shares no code with the entropy
-solver's.
+``scipy.stats.norm`` does.  Of scipy the module uses only
+``scipy.special``, imported inside the functions that need it, so that
+importing the module loads no scipy; its rule shares no code with the
+entropy solver's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw, ndtr, ndtri
 
 from .model import BlackBox, FailureEvent, InputModel
 
@@ -142,6 +142,8 @@ def _t1_conv(y, t0, t1):
         2 phi(y / sqrt 6) / sqrt 6
         * [Phi((t1 - 5y/6) / s) - Phi((t0 - 5y/6) / s)] / sf(3).
     """
+    from scipy.special import ndtr
+
     s = np.sqrt(5.0 / 6.0)
     root6 = np.sqrt(6.0)
     window = ndtr((t1 - 5.0 * y / 6.0) / s) - ndtr((t0 - 5.0 * y / 6.0) / s)
@@ -171,6 +173,8 @@ def _t1_delta_f(y, fy):
     closed-form ends, and the joint mass on them is a partial
     convolution.
     """
+    from scipy.special import ndtr
+
     sf3 = ndtr(-_T1_S)
     d = np.sqrt(np.maximum(-10.0 * np.log(fy * np.sqrt(2.5 * np.pi)), 0.0))
     t1 = np.minimum(d, y - _T1_S)
@@ -191,6 +195,8 @@ def toy1_references(refine=1) -> list[ReferenceValue]:
     closed-form integrands.  ``refine`` multiplies every panel count, so
     doubling it checks convergence.
     """
+    from scipy.special import ndtr
+
     if refine < 1:
         raise ValueError("refine must be at least 1")
     p_f = float(ndtr(-_T1_S))
@@ -246,11 +252,15 @@ def _c2_fy(y, k=1):
 
 def _c2_sf(y, k=1):
     """Unconditional output survival function at the points ``y``."""
+    from scipy.special import ndtr
+
     return _c2_mix(lambda z: ndtr(-z), y, k)
 
 
 def _c2_surv1(x):
     """Failure probability given the first input."""
+    from scipy.special import ndtr
+
     x = np.asarray(x, dtype=float)
     gap = _C2_S - x
     return np.where(gap > 0.0,
@@ -259,6 +269,8 @@ def _c2_surv1(x):
 
 def _c2_surv2(x2):
     """Failure probability given the second input."""
+    from scipy.special import ndtr
+
     x2 = np.asarray(x2, dtype=float)
     return ndtr(x2 * x2 - _C2_S)
 
@@ -285,6 +297,8 @@ def _c2_delta(y, fy, k):
     ``|y - t^2| < r``, with ``phi(r) = f_Y(y)``.  The joint mass on
     either set is a partial form of the output density's own integral.
     """
+    from scipy.special import lambertw, ndtr
+
     u = lambertw(1.0 / (2.0 * np.pi * fy * fy)).real
     d1 = _c2_mix(_phi, y, k, hi=np.sqrt(u)) - fy * (ndtr(y) - ndtr(y - u))
     r = np.sqrt(-2.0 * np.log(np.sqrt(2.0 * np.pi) * fy))
@@ -310,6 +324,8 @@ def chi2_references(refine=1) -> list[ReferenceValue]:
     against the closed-form conditional densities of the output.
     ``refine`` multiplies every panel count, so doubling it checks
     convergence."""
+    from scipy.special import ndtri
+
     if refine < 1:
         raise ValueError("refine must be at least 1")
     k = int(refine)

@@ -5,7 +5,6 @@ import copy
 import importlib.util
 import json
 import math
-import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -198,6 +197,23 @@ class TestValidation:
         small_toy1_config["extras"] = {}
         assert any("unknown top-level section" in f
                    for f in validate_config(small_toy1_config))
+
+    @pytest.mark.parametrize("model, finding", [
+        ({"builtin": "frobnicator"},
+         f"model.builtin must be one of {', '.join(BUILTIN_NAMES)}, got 'frobnicator'"),
+        ({"builtin": "toy1", "command": ["x"]},
+         "model must give exactly one of model.builtin or model.command"),
+        ({"command": []}, "model.command must be a non-empty list of strings"),
+        (None, "model section required"),
+    ], ids=["unknown_builtin", "both_kinds", "empty_command", "missing"])
+    def test_invalid_model_is_the_only_finding(self, small_toy1_config, model, finding):
+        # no inputs or event section: what they should hold depends on
+        # the model, so an invalid model section is reported alone
+        if model is None:
+            del small_toy1_config["model"]
+        else:
+            small_toy1_config["model"] = model
+        assert validate_config(small_toy1_config) == [finding]
 
     def test_unknown_builtin_name(self, small_toy1_config):
         small_toy1_config["model"] = {"builtin": "frobnicator"}
@@ -534,26 +550,13 @@ class TestRunCampaign:
         report = run_campaign(parse_config(small_toy1_config))
         assert report.references is None
 
-    def test_wall_clock_covers_reference_table(self, small_toy1_config, toy1_refs,
-                                              monkeypatch):
-        from relsense import campaign, oracle
+    def test_reference_literals_are_the_oracles(self, toy1_refs, chi2_refs):
+        from relsense.campaign import _REFERENCES
 
-        finished = []
-
-        def slow_references(refine=1):
-            time.sleep(0.2)
-            finished.append(time.perf_counter())
-            return list(toy1_refs.values())
-
-        monkeypatch.setattr(oracle, "toy1_references", slow_references)
-        monkeypatch.setattr(campaign, "_REFERENCE_CACHE", {})
-        config = parse_config(small_toy1_config)
-        before = time.perf_counter()
-        report = run_campaign(config)
-        assert finished
-        assert report.wall_clock_seconds >= 0.2
-        # the clock stops after the table is built, not before it starts
-        assert report.wall_clock_seconds >= finished[0] - before - 0.05
+        assert _REFERENCES == {
+            "toy1": {name: rv.value for name, rv in toy1_refs.items()},
+            "additive_chi2": {name: rv.value for name, rv in chi2_refs.items()},
+        }
 
     def test_references_follow_the_input_model(self, small_toy1_config):
         from relsense.campaign import _reference_table

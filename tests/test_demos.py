@@ -2,7 +2,8 @@
 
 The demos use the public API directly, so an API change can break them
 without any other test noticing.  Each runs in its own interpreter, with
-one BLAS thread and its temporary files under the test's directory.
+one BLAS thread and its temporary files under the test's directory;
+a demo leaves no temporary directory behind.
 """
 
 import os
@@ -28,3 +29,4 @@ def test_demo_runs(tmp_path, script):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("relsense_demo_*")) == []

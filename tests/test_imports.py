@@ -1,5 +1,6 @@
-"""Start-up cost: a campaign process imports only what it runs, and
-computing the reference tables loads no heavy scipy subpackage either."""
+"""Start-up cost: a campaign process imports only what it runs, which
+is no scipy at all, and computing the reference tables loads no heavy
+scipy subpackage either."""
 
 import importlib
 import json
@@ -53,6 +54,36 @@ def test_package_import_loads_no_stats_integrate_or_optimize():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result == {"loaded": [], "missing": []}
+
+
+CAMPAIGN_PROBE = """
+import json, sys
+import relsense, relsense.cli, relsense.oracle
+codes = [relsense.cli.main(["estimate", "--config", path, "--out", path + ".out"])
+         for path in sys.argv[1:]]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_campaign_process_loads_no_scipy(tmp_path, small_toy1_config):
+    # the second config runs the normal cdf of a uniform input's latent
+    # map under gaussian dependence, and of a normal input's marginal mass
+    uniform = dict(small_toy1_config, inputs={
+        "marginals": [{"kind": "uniform", "low": 0.0, "high": 4.0},
+                      {"kind": "normal", "mean": 0.0, "sd": 1.0}],
+        "dependence": {"type": "gaussian", "covariance": [[1.0, 0.5], [0.5, 1.0]]}})
+    paths = []
+    for name, raw in (("toy1", small_toy1_config), ("uniform", uniform)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(raw))
+    src = str(Path(relsense.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CAMPAIGN_PROBE, *paths], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}
 
 
 def test_oracle_names_resolve_to_the_oracle_module():

@@ -479,19 +479,26 @@ class TestNewtonRidge:
         return _FakeFamily(np.vstack([x, np.zeros_like(x)]), w, hessian)
 
     def test_rank_deficient_hessian_gets_a_ridge_and_converges(self, monkeypatch):
-        infos = []
-        factor = maxent.dpotrf
+        attempts = []  # (matrix, factorized) per Cholesky attempt
+        factor = maxent.cholesky
 
-        def recording(a, **kwargs):
-            chol, info = factor(a, **kwargs)
-            infos.append(info)
-            return chol, info
+        def recording(a):
+            try:
+                chol = factor(a)
+            except np.linalg.LinAlgError:
+                attempts.append((a.copy(), False))
+                raise
+            attempts.append((a.copy(), True))
+            return chol
 
-        monkeypatch.setattr(maxent, "dpotrf", recording)
+        monkeypatch.setattr(maxent, "cholesky", recording)
         family = self._family()
         lam, log_z, _ = _newton(np.array([0.3, 0.0]), family, 1e-9, 50)
         # the plain factorization fails on the zero pivot; a ridged one succeeds
-        assert infos[0] == 2 and 0 in infos
+        first, factorized = attempts[0]
+        assert not factorized and first[1, 1] == 0.0
+        ridged = [a for a, ok in attempts if ok and a[1, 1] > 0.0]
+        assert ridged and all(a[0, 1] == a[1, 0] == 0.0 for a in ridged)
         p = family.weights * np.exp(-(lam @ family.g) - log_z)
         assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
         assert family.g[0] @ p == pytest.approx(0.3, abs=1e-9)
@@ -562,8 +569,14 @@ class TestSolverBitIdentity:
     @pytest.mark.parametrize("k", [1, 48])
     @pytest.mark.parametrize("trans", [0, 1])
     def test_triangular_solve_is_scipys(self, k, trans):
+        # the solve is numpy's general one on ``r`` or ``r.T``, bit for bit;
+        # it agrees with scipy's triangular solve to roundoff: cond(r) is
+        # about 44 at k = 48, the gap measured 1.1e-15 of the largest entry
+        # and the bound is 1e-14 of it
         rng = np.random.default_rng(25)
         _, r = np.linalg.qr(rng.standard_normal((k + 3, k)))
         b = rng.standard_normal(k)
-        np.testing.assert_array_equal(_solve_upper(r, b, trans),
-                                      solve_triangular(r, b, trans=trans))
+        got = _solve_upper(r, b, trans)
+        np.testing.assert_array_equal(got, np.linalg.solve(r.T if trans else r, b))
+        want = solve_triangular(r, b, trans=trans)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
