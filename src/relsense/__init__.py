@@ -20,8 +20,8 @@ from .smc import (CrankNicolsonKernel, GaussianRandomWalkKernel, SmcError,
                   SmcParams, SmcResult, final_sampling, run_adaptive_smc)
 from .maxent import (DEFAULT_EXPONENTS, InfeasibleConstraintsError, MaxEntCopula,
                      MaxEntDensity, MaxEntError, MomentConstraints,
-                     copula_fractional_moments, dual_objective, fit_copula,
-                     fit_density, fractional_moments_1d, solve_maxent)
+                     copula_fractional_moments, fit_copula, fit_density,
+                     fractional_moments_1d, solve_maxent)
 from .indices import (DivergenceSpec, EstimationError, IndexReport,
                       WeightFunction, aggregate_replications, clip_unit,
                       csiszar_indices, csiszar_marginal_index, delta_from_sample,

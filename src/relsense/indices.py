@@ -330,9 +330,9 @@ class IndexReport:
     """Replication-aggregated index table.
 
     ``estimates`` maps each family name (``delta_f``, ``eta_bar``,
-    ``eta``, ``sobol_indicator``, optionally ``delta``) to per-input
-    means over replications, with matching standard deviations, ranks of
-    the means and clip flags (true when any replication was clipped).
+    ``eta``, ``sobol_indicator``) to per-input means over replications,
+    with matching standard deviations, ranks of the means and clip flags
+    (true when any replication was clipped).
     """
 
     input_names: tuple[str, ...]

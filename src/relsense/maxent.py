@@ -26,11 +26,16 @@ That copula family is a tensor product of one set of axis powers with
 itself, so the solver never builds its features over the 128 x 128
 grid: it whitens the axis powers per axis, writes every feature in
 products of the axis polynomials through a Kronecker map, and evaluates
-the log density, the moments and the Hessian as small matrix products
-on 128-point axis arrays.  A 1-D family is whitened by the same
-per-axis recipe (its powers with the constant first, orthonormalized on
-its 384-node grid, then mapped to the features), and its whitened
-features are kept as dense rows over that grid.
+the log density and the moments as small matrix products on 128-point
+axis arrays.  The Hessian needs the products of pairs of axis
+polynomials, which are powers ``u**(a + b)`` and so span one function
+per distinct exponent sum (13 for the six integer powers, against 49
+pairs); the grid probabilities are projected once onto an orthonormal
+basis of that span, and the means and the Hessian are read off the
+small projection.  A 1-D family is whitened by the same per-axis recipe
+(its powers with the constant first, orthonormalized on its 384-node
+grid, then mapped to the features), and its whitened features are kept
+as dense rows over that grid.
 
 Each copula grid (128 points per axis for the solver, 256 for its drift
 check) is built once: its axis rule and one product-weight array are
@@ -71,7 +76,6 @@ __all__ = [
     "solve_maxent",
     "fit_density",
     "fit_copula",
-    "dual_objective",
     "MARGINAL_LADDER",
     "COPULA_LADDER",
 ]
@@ -178,8 +182,12 @@ def fractional_moments_1d(sample, exponents=DEFAULT_EXPONENTS) -> MomentConstrai
 def _average_ranks(x):
     """Ranks ``1..n`` of ``x``, ties sharing their mean rank: the values
     of ``scipy.stats.rankdata(x, method="average")``, bit for bit (every
-    rank is an integer or a half-integer)."""
-    order = np.argsort(x, kind="mergesort")
+    rank is an integer or a half-integer).
+
+    The sort need not be stable: every value of a group of ties gets the
+    group's mean rank, so the order of the ties among themselves does not
+    reach the ranks."""
+    order = np.argsort(x)
     xs = x[order]
     first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     counts = np.diff(np.r_[first, x.size])
@@ -395,11 +403,14 @@ class _TensorFamily:
 
     ``powers`` holds the axis powers ``u**e`` (row 0 the constant) and
     ``index`` the power row of each feature on each axis; ``g`` holds the
-    axis polynomials orthonormal under the axis weights and ``pairs``
-    their pairwise products ``g_i * g_k``.  The whitened features are the
-    columns of ``coef`` over the non-constant products ``g_i(u) g_j(v)``,
-    with ``r.T @ whitened = features / scale - center``.  A function on
-    the grid is the bilinear form ``axis.T @ C @ axis`` of a coefficient
+    axis polynomials orthonormal under the axis weights.  ``h`` is an
+    orthonormal basis of the span of their pairwise products
+    ``g_i * g_k``, its first rows ``g`` itself, and ``pair_coef`` holds
+    each product's coordinates in it, ``g_i g_k = pair_coef[(i, k)] @ h``.
+    The whitened features are the columns of ``coef`` over the
+    non-constant products ``g_i(u) g_j(v)``, with
+    ``r.T @ whitened = features / scale - center``.  A function on the
+    grid is the bilinear form ``axis.T @ C @ axis`` of a coefficient
     matrix, ``u`` along rows and ``v`` along columns.
     """
 
@@ -411,7 +422,8 @@ class _TensorFamily:
     r: np.ndarray
     coef: np.ndarray
     g: np.ndarray
-    pairs: np.ndarray
+    h: np.ndarray
+    pair_coef: np.ndarray
 
     def log_q(self, lam):
         """Unnormalized log density on the grid at multipliers ``lam`` of
@@ -435,11 +447,17 @@ class _TensorFamily:
 
     def moments(self, p):
         """Mean and covariance of the whitened features under the grid
-        probabilities ``p``."""
+        probabilities ``p``.
+
+        Both are read off one projection of ``p`` onto the product span,
+        ``m = h P h.T``: the means are its ``g`` block, and the second
+        moments ``E[g_i g_k (u) g_j g_l (v)]`` are ``pair_coef m
+        pair_coef.T``, which holds them indexed ``((i, k), (j, l))``.
+        """
         k1 = self.g.shape[0]
-        first = (self.g @ p @ self.g.T).ravel()[1:]
-        # E[g_i g_k (u) g_j g_l (v)] comes out indexed ((i, k), (j, l))
-        second = (self.pairs @ p @ self.pairs.T).reshape(k1, k1, k1, k1)
+        m = self.h @ p @ self.h.T
+        first = m[:k1, :k1].ravel()[1:]
+        second = (self.pair_coef @ m @ self.pair_coef.T).reshape(k1, k1, k1, k1)
         second = second.transpose(0, 2, 1, 3).reshape(k1 * k1, k1 * k1)[1:, 1:]
         cov = second - np.outer(first, first)
         return self.coef.T @ first, self.coef.T @ cov @ self.coef
@@ -457,6 +475,40 @@ def _orthonormal_powers(powers, weights):
     q, r = np.linalg.qr((powers * np.sqrt(wn)).T)
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return sign[:, None] * (q / np.sqrt(wn)[:, None]).T, sign[:, None] * r
+
+
+def _product_span(g, weights):
+    """Orthonormal basis ``h`` of the span of the products ``g_i * g_k``
+    of orthonormal polynomials ``g`` (``g[0]`` the constant), and each
+    product's coordinates in it.
+
+    The products of ``k + 1`` axis polynomials are powers ``u**(a + b)``
+    in disguise, so they span one function per distinct exponent sum, far
+    fewer than ``(k + 1)**2``.  ``g`` spans some of them (``g_0 g_k`` is
+    ``g_k``) and is kept as the first rows of ``h``; the rest of the span
+    is the row space of the residual of the products ``g_i g_k``,
+    ``1 <= i <= k``, after projecting out ``g``, taken from one SVD under
+    the weights, with the singular values above ``1e-10`` of the largest.
+    (Leaving out the products that repeat or lie in ``g`` leaves
+    ``k (k + 1) / 2`` rows, 21 at the ladder's six exponents; LAPACK takes
+    an SVD that small without divide and conquer, so a fit pages in less
+    of its code.)  Returns ``(h, pair_coef)`` with
+    ``pair_coef = (pairs * wn) @ h.T`` over all ``(k + 1)**2`` products,
+    ``wn`` the normalized weights.
+    """
+    wn = weights / np.sum(weights)
+    i, k = np.triu_indices(g.shape[0] - 1)
+    prods = g[1:][i] * g[1:][k]
+    resid = prods - ((prods * wn) @ g.T) @ g
+    _, sv, vt = np.linalg.svd(resid * np.sqrt(wn), full_matrices=False)
+    rest = vt[sv > 1e-10 * sv[0]] / np.sqrt(wn)
+    # a small singular value scales up the roundoff overlap of the
+    # residual with g (to 5e-11 on the set 0.3, 0.7, 1.1); projecting once
+    # more leaves h orthonormal to roundoff
+    rest -= ((rest * wn) @ g.T) @ g
+    h = np.vstack([g, rest])
+    pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, g.shape[1])
+    return h, (pairs * wn) @ h.T
 
 
 def _feature_map(kron):
@@ -491,6 +543,12 @@ def _whiten(exponents, nodes, axis_weights, weights) -> _TensorFamily:
     without margin features works alike.  No feature matrix over the
     grid is built; ``weights``, the product of ``axis_weights`` with
     itself, is held as given, shared with the other families of the grid.
+
+    For the moments, :func:`_product_span` adds a basis ``h`` of the span
+    of the pairwise products ``g_i g_k`` (``g`` its first rows) and the
+    coordinates of each product in it, so that a Newton step projects the
+    grid probabilities onto ``h`` alone and reads the Hessian off that
+    projection.
     """
     values = sorted({0.0} | {e for pair in exponents for e in pair})
     pos = {e: i for i, e in enumerate(values)}
@@ -501,9 +559,9 @@ def _whiten(exponents, nodes, axis_weights, weights) -> _TensorFamily:
     kron = np.column_stack([np.outer(r_axis[:, a], r_axis[:, b]).ravel()
                             for a, b in index]) / scale
     center, coef, r = _feature_map(kron)
-    pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, nodes.shape[0])
+    h, pair_coef = _product_span(g, axis_weights)
     family = _TensorFamily(powers=powers, index=index, weights=weights, scale=scale,
-                           center=center, r=r, coef=coef, g=g, pairs=pairs)
+                           center=center, r=r, coef=coef, g=g, h=h, pair_coef=pair_coef)
     for arr in vars(family).values():
         arr.setflags(write=False)
     return family
@@ -560,18 +618,6 @@ def _copula_family(exponents, n_axis):
     return _whiten(exponents, *_unit_axis(n_axis))
 
 
-def _family(constraints):
-    if constraints.ndim == 1:
-        return _density_family(constraints)
-    return _copula_family(_copula_key(constraints.exponents), 128)
-
-
-def dual_objective(constraints: MomentConstraints, lam) -> float:
-    """Value of the convex dual at ``lam`` (used to certify convexity)."""
-    lam = np.asarray(lam, dtype=float)
-    return float(lam @ constraints.targets + _family(constraints).log_partition(lam))
-
-
 def _newton(targets, family, tol, max_iter):
     """Damped Newton on the dual; returns (multipliers, log Z, iterations).
 
@@ -580,8 +626,9 @@ def _newton(targets, family, tol, max_iter):
     basis; for a copula that works on the per-axis arrays of
     :func:`_whiten`: the log density is the bilinear form
     ``g.T @ Theta @ g`` over the 128 x 128 grid ``P`` of probabilities,
-    the moments are ``g P g.T`` and the Hessian comes from the pairwise
-    products, ``(g * g) P (g * g).T``.  Newton steps are affine
+    and the moments and the Hessian are read off its projection onto the
+    span of the pairwise products, ``h P h.T`` (see
+    :meth:`_TensorFamily.moments`).  Newton steps are affine
     invariant, so the iterates are those of the original features.
     Convergence is judged on the moments of the original features,
     ``r.T @ grad``, and the multipliers are returned in that basis.

@@ -25,7 +25,6 @@ from relsense.maxent import (
     _solve_upper,
     _unit_axis,
     copula_fractional_moments,
-    dual_objective,
     fit_copula,
     fit_density,
     fractional_moments_1d,
@@ -63,6 +62,15 @@ def copula_integral(copula, fn, n=96):
     """Integrate ``fn(u, v) * pdf`` over the unit square."""
     u, v, w = copula_grid(n)
     return float(np.sum(copula.pdf(np.column_stack([u, v])) * fn(u, v) * w))
+
+
+def dual_value(c, lam):
+    """The convex dual ``<lam, mu> + log Z(lam)`` of constraints ``c``,
+    formed from the family its solve runs on."""
+    family = (maxent._density_family(c) if c.ndim == 1
+              else _copula_family(maxent._copula_key(c.exponents), 128))
+    lam = np.asarray(lam, dtype=float)
+    return float(lam @ c.targets + family.log_partition(lam))
 
 
 def toy1_pair(which, n=3000, seed=2025):
@@ -208,18 +216,18 @@ class TestSolve1d:
         for trial in range(5):
             la = rng.normal(scale=0.5, size=3)
             lb = rng.normal(scale=0.5, size=3)
-            mid = dual_objective(c, (la + lb) / 2.0)
-            assert mid <= (dual_objective(c, la) + dual_objective(c, lb)) / 2.0 + 1e-9
+            mid = dual_value(c, (la + lb) / 2.0)
+            assert mid <= (dual_value(c, la) + dual_value(c, lb)) / 2.0 + 1e-9
 
     def test_solution_minimizes_dual(self):
         rng = np.random.default_rng(8)
         sample = rng.chisquare(4, 800) + 1.0
         c = fractional_moments_1d(sample)
         density = solve_maxent(c)
-        best = dual_objective(c, density.multipliers)
+        best = dual_value(c, density.multipliers)
         for scale in (1e-3, 1e-2, 0.1):
             for direction in (np.array([1.0, 0, 0]), np.array([0, -1.0, 0.5])):
-                assert best <= dual_objective(c, density.multipliers + scale * direction) + 1e-10
+                assert best <= dual_value(c, density.multipliers + scale * direction) + 1e-10
 
     def test_infeasible_moments_raise(self):
         # a mean of 0.9 forces a second moment of at least 0.81
@@ -315,13 +323,13 @@ class TestSolveCopula:
         z = rng.standard_normal((2000, 2))
         c = copula_fractional_moments(np.column_stack([z[:, 0], z[:, 0] + z[:, 1]]))
         copula = solve_maxent(c)
-        best = dual_objective(c, copula.multipliers)
+        best = dual_value(c, copula.multipliers)
         assert best == pytest.approx(
             float(copula.multipliers @ c.targets) - copula.log_normalizer, abs=1e-12)
         for scale in (1e-3, 1e-2, 0.1):
             for direction in np.eye(len(c.exponents))[[0, 3, 8]]:
-                assert best <= dual_objective(c, copula.multipliers + scale * direction) + 1e-10
-                assert best <= dual_objective(c, copula.multipliers - scale * direction) + 1e-10
+                assert best <= dual_value(c, copula.multipliers + scale * direction) + 1e-10
+                assert best <= dual_value(c, copula.multipliers - scale * direction) + 1e-10
 
     @pytest.mark.parametrize("exponents, targets", [
         (((1.0, 0.0),), (1.2,)),
@@ -416,7 +424,9 @@ class TestExponentLadder:
 
 # Each rung of COPULA_LADDER on toy1_pair(which), as solved by the dense
 # whitened Newton solver this one replaced: delta_index, log normalizer
-# and BIC, and the rung (feature count) the ladder picks.
+# and BIC, and the rung (feature count) the ladder picks.  NEWTON_STEPS
+# holds the iterations of each rung's solve on the 128-point grid.
+NEWTON_STEPS = {1: (6, 7, 9), 2: (14, 17, 42)}
 DENSE_SOLVER_RUNGS = {
     1: ([(0.08338296446855968, 2.2911570610822065, -115.88049679046429),
          (0.08477415364715388, 0.6186114154502942, -68.19231213575927),
@@ -428,13 +438,15 @@ DENSE_SOLVER_RUNGS = {
 
 
 class TestSolverPinned:
-    """The copula solve keeps the estimates of the dense solver it replaced."""
+    """The copula solve keeps the estimates of the dense solver it replaced
+    and the Newton path of the solver before the product-span moments."""
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_ladder_rungs_match_the_dense_solver(self, which):
         xy = toy1_pair(which)
         rungs, winner = DENSE_SOLVER_RUNGS[which]
-        for exps, (delta, log_c, bic) in zip(COPULA_LADDER, rungs):
+        for exps, (delta, log_c, bic), steps in zip(COPULA_LADDER, rungs,
+                                                     NEWTON_STEPS[which]):
             c = copula_fractional_moments(xy, exps)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
@@ -442,7 +454,80 @@ class TestSolverPinned:
             assert delta_index(copula) == pytest.approx(delta, abs=1e-8), exps
             assert copula.log_normalizer == pytest.approx(log_c, abs=1e-5), exps
             assert _bic(c, copula) == pytest.approx(bic, abs=1e-3), exps
+            family = _copula_family(maxent._copula_key(c.exponents), 128)
+            assert _newton(c.targets, family, 1e-6, 200)[2] == steps, exps
         assert len(fit_copula(xy).exponents) == winner
+
+
+def copula_features(exps):
+    """The features of :func:`copula_fractional_moments` for ``exps``."""
+    margins = tuple((e, 0.0) for e in exps) + tuple((0.0, e) for e in exps)
+    return margins + tuple((r, s) for r in exps for s in exps)
+
+
+def dense_moments(family, p):
+    """Whitened means and covariance under grid probabilities ``p`` from
+    every pairwise product of the axis polynomials ``g``, formed over the
+    grid: the formula the product-span projection replaced."""
+    g = family.g
+    k1 = g.shape[0]
+    first = (g @ p @ g.T).ravel()[1:]
+    pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, g.shape[1])
+    second = (pairs @ p @ pairs.T).reshape(k1, k1, k1, k1)
+    second = second.transpose(0, 2, 1, 3).reshape(k1 * k1, k1 * k1)[1:, 1:]
+    cov = second - np.outer(first, first)
+    return family.coef.T @ first, family.coef.T @ cov @ family.coef
+
+
+SPAN_SETS = COPULA_LADDER + ((0.3, 0.7, 1.1),)
+
+
+class TestProductSpan:
+    """The basis ``h`` of the products of the axis polynomials, on which a
+    copula family reads its moments and Hessian."""
+
+    @pytest.mark.parametrize("n_axis", [128, 256])
+    @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
+    def test_basis(self, exps, n_axis):
+        family = _copula_family(copula_features(exps), n_axis)
+        _, wu, _ = _unit_axis(n_axis)
+        k1, h = family.g.shape[0], family.h
+        np.testing.assert_array_equal(h[:k1], family.g)
+        gram = (h * (wu / np.sum(wu))) @ h.T
+        np.testing.assert_allclose(gram, np.eye(h.shape[0]), rtol=0.0, atol=1e-13)
+        # u**a * u**b is u**(a + b): one function per distinct sum
+        values = (0.0, *exps)
+        assert h.shape[0] == len({round(a + b, 12) for a in values for b in values})
+        assert family.pair_coef.shape == (k1 * k1, h.shape[0])
+
+    @pytest.mark.parametrize("n_axis", [128, 256])
+    @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
+    def test_moments_of_a_random_grid_are_the_dense_ones(self, exps, n_axis):
+        # measured: means within 1e-15, Hessians within 2.6e-11 of their
+        # largest entry (the six-power rung at 128 points); a rough p
+        # weighs the sliver of the products outside the span the most
+        family = _copula_family(copula_features(exps), n_axis)
+        p = np.random.default_rng(26).random((n_axis, n_axis))
+        p /= np.sum(p)
+        self._assert_dense(family, p, 1e-10)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
+    def test_moments_of_a_fitted_copula_are_the_dense_ones(self, exps, which):
+        # measured: Hessians within 2.6e-14 of their largest entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            copula = solve_maxent(copula_fractional_moments(toy1_pair(which), exps))
+        w, c = copula.grid_pdf()
+        self._assert_dense(_copula_family(copula_features(exps), 128), w * c, 1e-12)
+
+    @staticmethod
+    def _assert_dense(family, p, rel):
+        mom, hess = family.moments(p)
+        want_mom, want_hess = dense_moments(family, p)
+        np.testing.assert_allclose(mom, want_mom, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(hess, want_hess, rtol=0.0,
+                                   atol=rel * np.max(np.abs(want_hess)))
 
 
 
