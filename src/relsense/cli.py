@@ -29,7 +29,6 @@ import gc
 import sys
 from pathlib import Path
 
-from . import oracle
 from .campaign import (CampaignRuntimeError, ConfigError, load_config,
                        parse_config, read_config, run_campaign, write_outputs)
 
@@ -93,6 +92,8 @@ def cmd_references(args) -> int:
         print(f"unknown model {args.name!r}; references exist for toy1 and "
               f"additive_chi2", file=sys.stderr)
         return EXIT_CONFIG
+    from . import oracle  # a campaign never loads the oracle
+
     fn = oracle.toy1_references if args.name == "toy1" else oracle.chi2_references
     print(f"{'name':<20}{'value':>16}  {'method':<12}{'tolerance':>10}")
     for rv in fn():
@@ -109,7 +110,10 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     gc.freeze()  # imported modules live until exit; collections that skip them end fast
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "estimate" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     handler = {"estimate": cmd_estimate, "references": cmd_references,
                "validate": cmd_validate}[args.command]
     try:

@@ -4,9 +4,9 @@ All indices compare the nominal input law with the law of the inputs
 given failure, in total variation or a user-chosen convex divergence:
 
 * ``delta_index`` -- dependence between one input and the output under
-  the conditioned law, read off a fitted copula density (the same
-  plug-in serves the unconditional input/output dependence index when
-  fed an unconditional sample).
+  the conditioned law, read off a fitted copula density;
+  ``delta_index(fit_copula(xy))`` on an unconditional sample ``xy`` is
+  the unconditional input/output dependence index.
 * ``target_tv_index`` -- total-variation distance between an input's
   nominal marginal and its failure-conditioned marginal.
 * ``scaled_target_index`` -- the same distance scaled by twice the
@@ -42,7 +42,6 @@ __all__ = [
     "DivergenceSpec",
     "WeightFunction",
     "delta_index",
-    "delta_from_sample",
     "target_tv_index",
     "scaled_target_index",
     "sobol_indicator_index",
@@ -164,18 +163,6 @@ def delta_index(copula: MaxEntCopula, divergence: DivergenceSpec | None = None) 
     phi = (divergence or DivergenceSpec.total_variation()).phi
     weights, c = copula.grid_pdf()
     return _phi_integral(phi(c), weights, "copula dependence index")
-
-
-def delta_from_sample(sample_xy, exponents=None) -> float:
-    """Total-variation dependence of an ``(X_i, Y)`` sample.
-
-    Fits the maximum-entropy copula to the sample's ranks (exponent set
-    chosen by BIC unless ``exponents`` pins one, see
-    :func:`~relsense.maxent.fit_copula`), then applies
-    :func:`delta_index`.  Feed unconditional Monte Carlo pairs to get the
-    classical input/output dependence index.
-    """
-    return delta_index(fit_copula(sample_xy, exponents))
 
 
 def target_tv_index(density: MaxEntDensity, marginal: Marginal) -> float:

@@ -52,7 +52,8 @@ so a fit loads no scipy.
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
 :data:`COPULA_LADDER`) by the Bayesian information criterion.  An
 explicit exponent set is a ladder of one rung, judged by the same
-resolution rule.
+resolution rule.  A copula is fitted only by :func:`fit_copula`;
+:func:`solve_maxent` solves 1-D constraints alone.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ __all__ = [
 
 SHIFT_EPS = 1e-6
 DEFAULT_EXPONENTS = (0.5, 1.0, 1.5)
-# Largest change of a copula's log normalizer from its 128-point solver
-# grid to a 256-point grid before a direct solve warns of under-resolution.
-DRIFT_TOL = 1e-7
 
 # Candidate exponent sets, from sparse to rich, searched by BIC when a fit
 # is not pinned to one set.  Even integer powers let a marginal hollow out
@@ -277,9 +275,10 @@ class MaxEntDensity:
 class MaxEntCopula:
     """Density ``c * exp(-sum lam_rs u**a_r v**a_s)`` on the unit square.
 
-    Fitted through :func:`copula_fractional_moments`, the margin features
-    hold the moments of the ranks, so the marginals are uniform up to
-    those moments; :meth:`uniformity_gap` measures what remains.
+    Fitted only by :func:`fit_copula`, whose margin features hold the
+    moments of the ranks (:func:`copula_fractional_moments`), so the
+    marginals are uniform up to those moments; :meth:`uniformity_gap`
+    measures what remains.
     """
 
     exponents: tuple[tuple[float, float], ...]
@@ -698,37 +697,36 @@ def _newton(targets, family, tol, max_iter):
     raise MaxEntError(f"Newton did not reach gradient norm {tol} in {max_iter} iterations")
 
 
-def _solve_copula(constraints, tol=1e-6, max_iter=200):
-    """Fitted copula and its quadrature drift, the change of ``log Z``
-    from the 128-point solver grid to a 256-point one."""
+def _solve_copula(constraints):
+    """Fitted copula and the drift of its ``log Z`` from the 128-point
+    solver grid to a 256-point one.
+
+    This is the one copula solve: :func:`fit_copula` calls it on each
+    rung, and :func:`_select` judges the drift times the sample size."""
     exps = _copula_key(constraints.exponents)
-    lam, log_z, _ = _newton(constraints.targets, _copula_family(exps, 128), tol, max_iter)
+    lam, log_z, _ = _newton(constraints.targets, _copula_family(exps, 128), 1e-6, 200)
     drift = abs(_copula_family(exps, 256).log_partition(lam) - log_z)
     return MaxEntCopula(exponents=constraints.exponents, multipliers=lam,
                         log_normalizer=-log_z), drift
 
 
 def solve_maxent(constraints: MomentConstraints, tol: float = 1e-6,
-                 max_iter: int = 200):
-    """Solve the dual and return the fitted density object.
+                 max_iter: int = 200) -> MaxEntDensity:
+    """Solve the dual of 1-D constraints and return the fitted density.
 
-    Returns a :class:`MaxEntDensity` (``ndim == 1``) or a
-    :class:`MaxEntCopula` (``ndim == 2``).  Raises
-    :class:`InfeasibleConstraintsError` when the multipliers diverge and
-    :class:`MaxEntError` when the iteration stalls; warns when a copula
-    is under-resolved by its quadrature grid.
+    Raises :class:`InfeasibleConstraintsError` when the multipliers
+    diverge and :class:`MaxEntError` when the iteration stalls.  Copula
+    constraints (``ndim == 2``) are rejected: a copula is fitted only by
+    :func:`fit_copula`, which also judges its quadrature resolution.
     """
-    if constraints.ndim == 1:
-        lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
-                                tol, max_iter)
-        return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
-                             log_normalizer=-log_z,
-                             support_shifted=constraints.support, shift=constraints.shift)
-    copula, drift = _solve_copula(constraints, tol, max_iter)
-    if drift > DRIFT_TOL:
-        warnings.warn(f"copula quadrature drift {drift:.2e} between 128- and 256-point "
-                      "grids; results may be under-resolved", stacklevel=2)
-    return copula
+    if constraints.ndim != 1:
+        raise ValueError("solve_maxent fits 1-D constraints only; fit a copula "
+                         "with fit_copula")
+    lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
+                            tol, max_iter)
+    return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
+                         log_normalizer=-log_z,
+                         support_shifted=constraints.support, shift=constraints.shift)
 
 
 def _bic(constraints: MomentConstraints, fitted) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "InputModel",
     "FailureEvent",
     "BlackBox",
-    "sample_input",
     "builtin_model",
     "BUILTIN_NAMES",
 ]
@@ -420,14 +419,6 @@ class BlackBox:
 
     def __repr__(self):
         return f"BlackBox(name={self.name!r}, dimension={self.dimension}, calls={self._count})"
-
-
-def sample_input(model: InputModel, n: int, seed) -> np.ndarray:
-    """Draw ``n`` i.i.d. input vectors as an ``(n, d)`` array."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return model.sample(int(n), rng)
 
 
 def _toy1_batch(x):

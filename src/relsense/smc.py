@@ -185,7 +185,6 @@ class SmcResult:
     calls_sampling_phase: int
     acceptance_rates: tuple[float, ...]
     final_acceptance_rate: float | None
-    threshold: float
 
     @property
     def calls_total(self) -> int:
@@ -353,4 +352,4 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
                      calls_probability_phase=int(calls_probability),
                      calls_sampling_phase=int(calls_sampling),
                      acceptance_rates=tuple(acceptance),
-                     final_acceptance_rate=final_rate, threshold=s)
+                     final_acceptance_rate=final_rate)

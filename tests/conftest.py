@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from relsense import chi2_references, toy1_references
+from relsense.oracle import chi2_references, toy1_references
 
 
 @pytest.fixture(scope="session")

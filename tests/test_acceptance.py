@@ -12,9 +12,8 @@ import math
 import numpy as np
 
 from relsense.campaign import parse_config, run_campaign, run_replication
-from relsense.indices import (DivergenceSpec, WeightFunction, delta_from_sample,
-                              delta_index, csiszar_indices, rank_descending,
-                              target_tv_index)
+from relsense.indices import (DivergenceSpec, WeightFunction, delta_index,
+                              csiszar_indices, rank_descending, target_tv_index)
 from relsense.maxent import (fit_copula, fit_density, fractional_moments_1d,
                              solve_maxent, _composite_gl)
 from relsense.model import Marginal, builtin_model
@@ -228,8 +227,8 @@ def test_criterion_4_plugin_against_rejection_oracle():
     rs = rejection_conditioned_sample(box, inputs, event, n_target=100_000,
                                       budget=200_000_000, seed=2024,
                                       block_size=1_000_000)
-    d1 = delta_from_sample(np.column_stack([rs.inputs[:, 0], rs.outputs]))
-    d2 = delta_from_sample(np.column_stack([rs.inputs[:, 1], rs.outputs]))
+    d1 = delta_index(fit_copula(np.column_stack([rs.inputs[:, 0], rs.outputs])))
+    d2 = delta_index(fit_copula(np.column_stack([rs.inputs[:, 1], rs.outputs])))
     print(f"\n[criterion 4] plug-in on 1e5 exact conditioned draws: "
           f"delta_f_1 {d1:.4f}, delta_f_2 {d2:.4f}")
     c = Checker("criterion 4")
@@ -283,7 +282,7 @@ def test_criterion_5_property_bundle():
 
     # independence null stays under the frozen noise floor
     rng = np.random.default_rng(31)
-    null_worst = max(delta_from_sample(rng.standard_normal((3000, 2)))
+    null_worst = max(delta_index(fit_copula(rng.standard_normal((3000, 2))))
                      for _ in range(3))
     c.at_most("independence-null delta_f", null_worst, 0.08)
 

@@ -38,7 +38,8 @@ CONFIGS = {
 }
 
 SPANS = {"campaign.parse", "campaign.run_replication", "smc.run_adaptive_smc",
-         "smc.final_sampling", "maxent.fit_copula", "indices.delta",
+         "smc.final_sampling", "maxent.fit_density", "maxent.fit_copula",
+         "maxent.rung", "indices.delta", "indices.eta_bar", "indices.sobol",
          "model.evaluate_batch"}
 
 

@@ -236,6 +236,17 @@ class TestEstimate:
         assert code == 2
         assert "config error: replications must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, small_config_file, tmp_path,
+                                             capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--config", str(small_config_file),
+                  "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: must be at least 1, got {jobs}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_failure_names_replication(self, small_toy1_config,
                                                tmp_path, capsys):
         small_toy1_config["smc"]["max_levels"] = 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relsense.external import external_blackbox
-from relsense.model import EvaluationError, builtin_model, sample_input
+from relsense.model import EvaluationError, builtin_model
 
 
 def _script(tmp_path, source):
@@ -57,7 +57,7 @@ def test_round_trips_full_double_precision(echo_first_command):
 def test_wrapper_matches_builtin(toy1_wrapper_command):
     # 5000 rows of requests (about 200 KB) outgrow one pipe buffer
     builtin_box, model, _ = builtin_model("toy1")
-    x = sample_input(model, 5000, seed=21)
+    x = model.sample(5000, np.random.default_rng(21))
     with external_blackbox(toy1_wrapper_command, dimension=2) as box:
         got = _run_bounded(box, lambda: box.evaluate_batch(x))
         assert box.call_count == 5000

@@ -1,6 +1,6 @@
 """Start-up cost: a campaign process imports only what it runs, which
-is no scipy at all, and computing the reference tables loads no heavy
-scipy subpackage either."""
+is no scipy and no oracle at all, and computing the reference tables
+loads no heavy scipy subpackage either."""
 
 import importlib
 import json
@@ -15,7 +15,7 @@ import relsense
 # Every name the package exports must resolve as an attribute of it.
 EXPORTS = (
     "BlackBox", "EvaluationError", "FailureEvent", "InputModel", "Marginal",
-    "builtin_model", "sample_input", "ExternalBlackBox", "external_blackbox",
+    "builtin_model", "ExternalBlackBox", "external_blackbox",
     "REPLICATION", "seed_sequence", "stream", "CrankNicolsonKernel",
     "GaussianRandomWalkKernel", "SmcError", "SmcParams", "SmcResult",
     "final_sampling", "run_adaptive_smc", "DEFAULT_EXPONENTS",
@@ -24,11 +24,9 @@ EXPORTS = (
     "fit_density", "fractional_moments_1d", "solve_maxent",
     "DivergenceSpec", "EstimationError", "IndexReport", "WeightFunction",
     "aggregate_replications", "clip_unit", "csiszar_indices",
-    "csiszar_marginal_index", "delta_from_sample", "delta_index",
+    "csiszar_marginal_index", "delta_index",
     "rank_descending", "scaled_target_index", "sobol_indicator_index",
-    "target_tv_index", "BudgetExhaustedError", "OracleError", "ReferenceValue",
-    "RejectionSample", "chi2_references", "rejection_conditioned_sample",
-    "toy1_references", "CampaignConfig", "CampaignReport", "CampaignRuntimeError",
+    "target_tv_index", "CampaignConfig", "CampaignReport", "CampaignRuntimeError",
     "ConfigError", "load_config", "parse_config", "run_campaign",
     "run_replication", "validate_config", "write_outputs",
 )
@@ -38,8 +36,8 @@ HEAVY = ("scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.optimize"
 PROBE = f"""
 import json, sys
 import relsense, relsense.cli, relsense.oracle
-relsense.toy1_references()
-relsense.chi2_references()
+relsense.oracle.toy1_references()
+relsense.oracle.chi2_references()
 loaded = [m for m in {HEAVY!r} if m in sys.modules]
 missing = [n for n in {EXPORTS!r} if not hasattr(relsense, n)]
 print(json.dumps({{"loaded": loaded, "missing": missing}}))
@@ -86,11 +84,15 @@ def test_campaign_process_loads_no_scipy(tmp_path, small_toy1_config):
     assert result == {"codes": [0, 0], "scipy": []}
 
 
-def test_oracle_names_resolve_to_the_oracle_module():
-    from relsense import oracle
-
-    assert relsense.toy1_references is oracle.toy1_references
-    assert relsense.OracleError is oracle.OracleError
+def test_package_and_cli_import_loads_no_oracle():
+    src = str(Path(relsense.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, relsense, relsense.cli; "
+                               "print('relsense.oracle' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_every_module_export_resolves():

@@ -15,7 +15,6 @@ from relsense.indices import (
     clip_unit,
     csiszar_indices,
     csiszar_marginal_index,
-    delta_from_sample,
     delta_index,
     rank_descending,
     scaled_target_index,
@@ -26,6 +25,7 @@ from relsense.maxent import (
     DEFAULT_EXPONENTS,
     MaxEntDensity,
     MomentConstraints,
+    _solve_copula,
     _unit_axis,
     copula_fractional_moments,
     fit_copula,
@@ -33,15 +33,15 @@ from relsense.maxent import (
     fractional_moments_1d,
     solve_maxent,
 )
-from relsense.model import InputModel, Marginal, builtin_model, sample_input
+from relsense.model import InputModel, Marginal, builtin_model
 
 
 def unit_copula():
     """Copula identically one, solved from exact independence moments."""
     pairs = tuple((r, s) for r in DEFAULT_EXPONENTS for s in DEFAULT_EXPONENTS)
     targets = [1.0 / ((1.0 + r) * (1.0 + s)) for r, s in pairs]
-    return solve_maxent(MomentConstraints(ndim=2, exponents=pairs, targets=targets,
-                                          support=((0.0, 1.0), (0.0, 1.0))))
+    return _solve_copula(MomentConstraints(ndim=2, exponents=pairs, targets=targets,
+                                           support=((0.0, 1.0), (0.0, 1.0))))[0]
 
 
 def flat_density(lo, hi):
@@ -120,13 +120,13 @@ class TestDeltaIndex:
         rng = np.random.default_rng(31)
         for _ in range(3):
             xy = rng.standard_normal((3000, 2))
-            assert delta_from_sample(xy) <= 0.08
+            assert delta_index(fit_copula(xy)) <= 0.08
 
     def test_strong_dependence_scores_high(self):
         rng = np.random.default_rng(32)
         x = rng.standard_normal(3000)
         xy = np.column_stack([x, x + 0.05 * rng.standard_normal(3000)])
-        assert delta_from_sample(xy) > 0.3
+        assert delta_index(fit_copula(xy)) > 0.3
 
 
 class TestUnconditionalDependence:
@@ -139,19 +139,19 @@ class TestUnconditionalDependence:
 
     def test_additive_chi2_ordering(self, chi2_refs):
         box, model, _ = builtin_model("additive_chi2")
-        x = sample_input(model, 100_000, seed=2718)
+        x = model.sample(100_000, np.random.default_rng(2718))
         y = box.evaluate_batch(x)
-        d1 = delta_from_sample(np.column_stack([x[:, 0], y]))
-        d2 = delta_from_sample(np.column_stack([x[:, 1], y]))
+        d1 = delta_index(fit_copula(np.column_stack([x[:, 0], y])))
+        d2 = delta_index(fit_copula(np.column_stack([x[:, 1], y])))
         assert d1 == pytest.approx(chi2_refs["delta_1"].value, abs=0.03)
         assert d2 == pytest.approx(chi2_refs["delta_2"].value, abs=0.03)
         assert d1 > d2
 
     def test_oscillator_capacity_dominates(self):
         box, model, _ = builtin_model("sdof_oscillator")
-        x = sample_input(model, 100_000, seed=999)
+        x = model.sample(100_000, np.random.default_rng(999))
         y = box.evaluate_batch(x)
-        vals = [delta_from_sample(np.column_stack([x[:, i], y])) for i in range(6)]
+        vals = [delta_index(fit_copula(np.column_stack([x[:, i], y]))) for i in range(6)]
         assert int(np.argmax(vals)) == 2
         assert vals[2] == pytest.approx(0.344, abs=0.03)
         assert vals[4] > vals[0] > vals[5]
@@ -269,7 +269,7 @@ class TestCsiszarGeneralization:
                                      marginal_exponents=DEFAULT_EXPONENTS,
                                      copula_exponents=DEFAULT_EXPONENTS)
         density = solve_maxent(fractional_moments_1d(xy[:, 0], DEFAULT_EXPONENTS))
-        copula = solve_maxent(copula_fractional_moments(xy, DEFAULT_EXPONENTS))
+        copula = _solve_copula(copula_fractional_moments(xy, DEFAULT_EXPONENTS))[0]
         assert eta == target_tv_index(density, marginal)
         assert delta == delta_index(copula)
 

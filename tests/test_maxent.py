@@ -22,6 +22,7 @@ from relsense.maxent import (
     _copula_family,
     _log_partition,
     _newton,
+    _solve_copula,
     _solve_upper,
     _unit_axis,
     copula_fractional_moments,
@@ -236,6 +237,12 @@ class TestSolve1d:
         with pytest.raises(InfeasibleConstraintsError):
             solve_maxent(c)
 
+    def test_copula_constraints_are_refused(self):
+        # a copula has one fit path, fit_copula, and one resolution rule
+        c = copula_fractional_moments(np.random.default_rng(10).standard_normal((200, 2)))
+        with pytest.raises(ValueError, match="fit_copula"):
+            solve_maxent(c)
+
     def test_shifted_sample_density_lives_on_original_scale(self):
         rng = np.random.default_rng(9)
         sample = rng.standard_normal(2000) - 1.0
@@ -277,7 +284,7 @@ class TestSolveCopula:
         targets = [1.0 / ((1.0 + r) * (1.0 + s)) for r, s in pairs]
         c = MomentConstraints(ndim=2, exponents=pairs, targets=targets,
                               support=((0.0, 1.0), (0.0, 1.0)))
-        copula = solve_maxent(c)
+        copula = _solve_copula(c)[0]
         grid = np.linspace(0.05, 0.95, 10)
         uv = np.column_stack([g.ravel() for g in np.meshgrid(grid, grid)])
         np.testing.assert_allclose(copula.pdf(uv), 1.0, atol=1e-6)
@@ -294,9 +301,10 @@ class TestSolveCopula:
             keep = [j for j, (r, s) in enumerate(full.exponents) if r > 0.0 and s > 0.0]
             c = MomentConstraints(ndim=2, exponents=tuple(full.exponents[j] for j in keep),
                                   targets=full.targets[keep], support=full.support)
+            copula = _solve_copula(c)[0]
         else:
             c = copula_fractional_moments(xy, family)
-        copula = solve_maxent(c)
+            copula = fit_copula(xy, family)
         # every feature built densely on a grid of the test's own
         u, v, w = copula_grid()
         mass = copula.pdf(np.column_stack([u, v])) * w
@@ -308,21 +316,22 @@ class TestSolveCopula:
         rng = np.random.default_rng(13)
         z = rng.standard_normal((3000, 2))
         xy = np.column_stack([z[:, 0], 0.8 * z[:, 0] + 0.6 * z[:, 1]])
-        copula = solve_maxent(copula_fractional_moments(xy))
+        copula = fit_copula(xy, DEFAULT_EXPONENTS)
         on_diag = copula.pdf(np.array([[0.9, 0.9], [0.1, 0.1]]))
         off_diag = copula.pdf(np.array([[0.9, 0.1], [0.1, 0.9]]))
         assert on_diag.min() > off_diag.max()
 
     def test_uniformity_gap_small_for_independence(self):
         rng = np.random.default_rng(14)
-        copula = solve_maxent(copula_fractional_moments(rng.standard_normal((5000, 2))))
+        copula = fit_copula(rng.standard_normal((5000, 2)), DEFAULT_EXPONENTS)
         assert copula.uniformity_gap() < 0.2
 
     def test_solution_minimizes_dual(self):
         rng = np.random.default_rng(18)
         z = rng.standard_normal((2000, 2))
-        c = copula_fractional_moments(np.column_stack([z[:, 0], z[:, 0] + z[:, 1]]))
-        copula = solve_maxent(c)
+        xy = np.column_stack([z[:, 0], z[:, 0] + z[:, 1]])
+        c = copula_fractional_moments(xy)
+        copula = fit_copula(xy, DEFAULT_EXPONENTS)
         best = dual_value(c, copula.multipliers)
         assert best == pytest.approx(
             float(copula.multipliers @ c.targets) - copula.log_normalizer, abs=1e-12)
@@ -341,7 +350,7 @@ class TestSolveCopula:
         c = MomentConstraints(ndim=2, exponents=exponents, targets=targets,
                               support=((0.0, 1.0), (0.0, 1.0)))
         with pytest.raises(InfeasibleConstraintsError, match="no density on the support"):
-            solve_maxent(c)
+            _solve_copula(c)
 
     @pytest.mark.parametrize("exponents", [((1.0, 1.0), (0.5, 1.0), (1.0, 1.0)),
                                            ((0.0, 0.0), (1.0, 1.0))],
@@ -351,11 +360,11 @@ class TestSolveCopula:
                               targets=[0.25] * len(exponents),
                               support=((0.0, 1.0), (0.0, 1.0)))
         with pytest.raises(MaxEntError, match="linearly dependent"):
-            solve_maxent(c)
+            _solve_copula(c)
 
     def test_off_square_density_is_zero(self):
         rng = np.random.default_rng(15)
-        copula = solve_maxent(copula_fractional_moments(rng.standard_normal((500, 2))))
+        copula = fit_copula(rng.standard_normal((500, 2)), DEFAULT_EXPONENTS)
         assert copula.pdf(np.array([1.5, 0.5])) == 0.0
         assert copula.pdf(np.array([[0.5, -0.1]]))[0] == 0.0
 
@@ -378,12 +387,14 @@ class TestExponentLadder:
         rng = np.random.default_rng(21)
         xy = rng.standard_normal((800, 2))
         pinned = fit_copula(xy, (0.5, 1.0))
-        direct = solve_maxent(copula_fractional_moments(xy, (0.5, 1.0)))
+        direct = _solve_copula(copula_fractional_moments(xy, (0.5, 1.0)))[0]
+        assert pinned.exponents == direct.exponents
         np.testing.assert_array_equal(pinned.multipliers, direct.multipliers)
+        assert pinned.log_normalizer == direct.log_normalizer
 
     def test_pinned_set_is_a_ladder_of_one(self):
         # judged by the ladder's one-nat rule, the pinned richest rung is the
-        # fit the ladder itself picks, without the direct solve's drift warning
+        # fit the ladder itself picks, and neither fit warns
         xy = toy1_pair(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -400,8 +411,9 @@ class TestExponentLadder:
         x = rng.standard_normal(3000)
         xy = np.column_stack([x, x + 0.05 * rng.standard_normal(3000)])
         copula = fit_copula(xy)
-        with pytest.warns(UserWarning, match="quadrature drift"):
-            rich = solve_maxent(copula_fractional_moments(xy, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)))
+        # pinned, the rung is a ladder of one that the grid cannot resolve
+        with pytest.warns(UserWarning, match="quadrature error"):
+            rich = fit_copula(xy, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         # integrated on grids other than the solver's; the spike is narrow
         # and, where it falls on the flat dual, can slip between the nodes
         # of a coarse rule too, so the rich fit is integrated finely
@@ -448,9 +460,7 @@ class TestSolverPinned:
         for exps, (delta, log_c, bic), steps in zip(COPULA_LADDER, rungs,
                                                      NEWTON_STEPS[which]):
             c = copula_fractional_moments(xy, exps)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                copula = solve_maxent(c)
+            copula = fit_copula(xy, exps)
             assert delta_index(copula) == pytest.approx(delta, abs=1e-8), exps
             assert copula.log_normalizer == pytest.approx(log_c, abs=1e-5), exps
             assert _bic(c, copula) == pytest.approx(bic, abs=1e-3), exps
@@ -515,9 +525,7 @@ class TestProductSpan:
     @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
     def test_moments_of_a_fitted_copula_are_the_dense_ones(self, exps, which):
         # measured: Hessians within 2.6e-14 of their largest entry
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            copula = solve_maxent(copula_fractional_moments(toy1_pair(which), exps))
+        copula = fit_copula(toy1_pair(which), exps)
         w, c = copula.grid_pdf()
         self._assert_dense(_copula_family(copula_features(exps), 128), w * c, 1e-12)
 
@@ -607,9 +615,7 @@ class TestGridPdf:
     @pytest.mark.parametrize("which", [1, 2])
     @pytest.mark.parametrize("exps", COPULA_LADDER, ids=lambda e: f"{len(e)}_exponents")
     def test_grid_values_integrate_to_one_and_are_the_pointwise_density(self, which, exps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            copula = solve_maxent(copula_fractional_moments(toy1_pair(which), exps))
+        copula = fit_copula(toy1_pair(which), exps)
         w, c = copula.grid_pdf()
         assert np.sum(w * c) == pytest.approx(1.0, abs=1e-12)
         u, _, _ = _unit_axis(128)

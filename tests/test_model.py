@@ -17,7 +17,6 @@ from relsense.model import (
     InputModel,
     Marginal,
     builtin_model,
-    sample_input,
 )
 
 
@@ -60,30 +59,25 @@ class TestBuiltinValues:
 class TestSampling:
     def test_toy1_second_coordinate_moments(self):
         _, model, _ = builtin_model("toy1")
-        x = sample_input(model, 10**6, seed=11)
+        x = model.sample(10**6, np.random.default_rng(11))
         assert abs(x[:, 1].mean()) < 3.0 * math.sqrt(5.0) / 1000.0
         assert x[:, 1].std() == pytest.approx(math.sqrt(5.0), rel=0.01)
 
     def test_determinism(self):
         _, model, _ = builtin_model("additive_chi2")
-        a = sample_input(model, 50, seed=3)
-        b = sample_input(model, 50, seed=3)
+        a = model.sample(50, np.random.default_rng(3))
+        b = model.sample(50, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
-        c = sample_input(model, 50, seed=4)
+        c = model.sample(50, np.random.default_rng(4))
         assert not np.array_equal(a, c)
 
     def test_single_draw_shape(self):
         _, model, _ = builtin_model("toy1")
-        assert sample_input(model, 1, seed=0).shape == (1, 2)
-
-    def test_n_must_be_positive(self):
-        _, model, _ = builtin_model("toy1")
-        with pytest.raises(ValueError, match="at least 1"):
-            sample_input(model, 0, seed=0)
+        assert model.sample(1, np.random.default_rng(0)).shape == (1, 2)
 
     def test_sdof_first_input_median(self):
         _, model, _ = builtin_model("sdof_oscillator")
-        x = sample_input(model, 200001, seed=5)
+        x = model.sample(200001, np.random.default_rng(5))
         med = float(np.median(x[:, 0]))
         assert med == pytest.approx(math.exp(2.0), rel=0.01)
         # every lognormal coordinate stays positive

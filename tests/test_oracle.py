@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from relsense.indices import delta_from_sample, target_tv_index
-from relsense.maxent import fractional_moments_1d, solve_maxent
+from relsense.indices import delta_index, target_tv_index
+from relsense.maxent import fit_copula, fractional_moments_1d, solve_maxent
 from relsense.model import Marginal, builtin_model
 from relsense.oracle import (
     BudgetExhaustedError,
@@ -229,10 +229,10 @@ class TestPipelineConsistency:
 
     def test_first_input_dependence(self, toy1_rejection, toy1_refs):
         xy = np.column_stack([toy1_rejection.inputs[:, 0], toy1_rejection.outputs])
-        got = delta_from_sample(xy)
+        got = delta_index(fit_copula(xy))
         assert got == pytest.approx(toy1_refs["delta_f_1"].value, abs=0.02)
 
     def test_second_input_dependence(self, toy1_rejection, toy1_refs):
         xy = np.column_stack([toy1_rejection.inputs[:, 1], toy1_rejection.outputs])
-        got = delta_from_sample(xy)
+        got = delta_index(fit_copula(xy))
         assert got == pytest.approx(toy1_refs["delta_f_2"].value, abs=0.02)
