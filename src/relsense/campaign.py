@@ -574,10 +574,13 @@ def run_replication(config: CampaignConfig, rep: int,
 
     The record maps each family in :data:`FAMILY_ORDER` to a
     ``(values, clip_flags)`` pair plus scalars describing the splitting
-    run (``p_f_hat``, level count, call split, acceptance rates).
+    run (``p_f_hat``, level count, call split, acceptance rates).  Without
+    a ``box`` it opens the config's model and closes it on return; a box
+    passed in stays open.
     """
     if box is None:
-        box = _make_blackbox(config)
+        with _make_blackbox(config) as box:
+            return run_replication(config, rep, box)
     calls_before = box.call_count
     params = replace(config.smc, seed=replication_seed(config.master_seed, rep))
     result = run_adaptive_smc(box, config.input_model, config.event, params)
@@ -774,12 +777,13 @@ _REFERENCES = {
 
 
 def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | None:
-    """Per-family reference values when the campaign targets a builtin.
+    """Per-family reference values when the campaign targets a builtin
+    with a table in :data:`_REFERENCES`.
 
     Only attached when the builtin's canonical inputs and threshold are
     unchanged; any override invalidates the tabulated values.
     """
-    if config.builtin is None or config.builtin == "sdof_oscillator":
+    if config.builtin not in _REFERENCES:
         return None
     _, canon_inputs, canon_event = builtin_model(config.builtin)
     if (config.input_model != canon_inputs
@@ -787,10 +791,11 @@ def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | N
             or config.divergence != "total_variation"):
         return None
     by_name = _REFERENCES[config.builtin]
-    table = {"p_f": (by_name["p_f"],)}
+    p_f = by_name["p_f"]
+    table = {"p_f": (p_f,)}
     for fam in FAMILY_ORDER:
         if fam == "eta":
-            table[fam] = tuple(2.0 * by_name["p_f"] * by_name[f"eta_bar_{i + 1}"]
+            table[fam] = tuple(scaled_target_index(by_name[f"eta_bar_{i + 1}"], p_f)
                                for i in range(config.dimension))
         else:
             table[fam] = tuple(by_name[f"{fam}_{i + 1}"] for i in range(config.dimension))

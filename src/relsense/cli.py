@@ -19,7 +19,8 @@ Both read the file with :func:`relsense.campaign.read_config`.
 
 Exit codes: 0 on success, 1 when a run fails at runtime (the message
 names the failing replication and its seed), 2 for config or usage
-errors.
+errors, an output directory that cannot be created among them, found
+before any replication runs.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ def cmd_estimate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     config = parse_config(raw)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     report = run_campaign(config, jobs=args.jobs)
     report_path, csv_path = write_outputs(report, args.out)
     print(report.summary_table())

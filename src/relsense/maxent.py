@@ -9,9 +9,9 @@ the strictly convex dual problem
 
 whose gradient is ``mu - E_f[phi]`` and whose Hessian is ``Cov_f(phi)``;
 a damped Newton iteration with backtracking line search drives the
-gradient norm below ``tol``.  The iteration runs in a centred,
-orthonormal (whitened) basis of the features, integrated by
-Gauss-Legendre quadrature.
+gradient norm below 1e-6 in at most 200 steps (``_NEWTON_TOL``,
+``_NEWTON_MAX_ITER``) in a centred, orthonormal (whitened) basis of the
+features, integrated by Gauss-Legendre quadrature.
 
 Two families are provided: one-dimensional densities with power features
 ``x**beta`` on a data-driven support (used for failure-conditioned input
@@ -23,30 +23,32 @@ makes the fit a minimum-information copula in the sense of Bedford &
 Wilson (2014), with marginals uniform up to the fitted moments.
 
 That copula family is a tensor product of one set of axis powers with
-itself, so the solver never builds its features over the 128 x 128
-grid: it whitens the axis powers per axis, writes every feature in
-products of the axis polynomials through a Kronecker map, and evaluates
-the log density and the moments as small matrix products on 128-point
-axis arrays.  The Hessian needs the products of pairs of axis
-polynomials, which are powers ``u**(a + b)`` and so span one function
-per distinct exponent sum (13 for the six integer powers, against 49
-pairs); the grid probabilities are projected once onto an orthonormal
-basis of that span, and the means and the Hessian are read off the
-small projection.  A 1-D family is whitened by the same per-axis recipe
-(its powers with the constant first, orthonormalized on its 384-node
-grid, then mapped to the features), and its whitened features are kept
-as dense rows over that grid.
+itself, so the solver never builds its features over the square grid:
+it whitens the axis powers per axis, writes every feature in products of
+the axis polynomials through a Kronecker map, and evaluates the log
+density and the moments as small matrix products on axis arrays.  The
+Hessian needs the products of pairs of axis polynomials, which are
+powers ``u**(a + b)`` and so span one function per distinct exponent sum
+(13 for the six integer powers, against 49 pairs); the grid
+probabilities are projected once onto an orthonormal basis of that span,
+and the means and the Hessian are read off the small projection.  A 1-D
+family is whitened by the same per-axis recipe (its powers with the
+constant first, orthonormalized on its 384-node grid, then mapped to the
+features), and its whitened features are kept as dense rows over that
+grid.
 
-Each copula grid (128 points per axis for the solver, 256 for its drift
-check) is built once: its axis rule and one product-weight array are
-shared by every family on it; a fitted copula is integrated at the
-solver's own grid values (:meth:`MaxEntCopula.grid_pdf`).  On a grid the
-log density is formed in one buffer that is then turned in place into
-the weighted exponentials; the Newton loop carries those of an accepted
-line-search candidate to the next iterate.  Its linear algebra is
-``numpy.linalg`` alone: one Cholesky factorization tests each ridged
-Hessian for positive definiteness and one general solve gives the step,
-so a fit loads no scipy.
+The copula axis is the 1-D rule of :func:`_support_nodes` on ``[0, 1]``
+with one panel, of 128 points for the solver (``_COPULA_AXIS``) and 256
+for its drift check (``_DRIFT_AXIS``).  Each copula grid is built once:
+its axis rule and one product-weight array are shared by every family on
+it; a fitted copula is integrated at the solver's own grid values
+(:meth:`MaxEntCopula.grid_pdf`).  On a grid the log density is
+formed in one buffer that is then turned in place into the weighted
+exponentials; the Newton loop carries those of an accepted line-search
+candidate to the next iterate.  Its linear algebra is ``numpy.linalg``
+alone: one Cholesky factorization tests each ridged Hessian for positive
+definiteness and one general solve gives the step, so a fit loads no
+scipy.
 
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
@@ -83,6 +85,10 @@ __all__ = [
 
 SHIFT_EPS = 1e-6
 DEFAULT_EXPONENTS = (0.5, 1.0, 1.5)
+
+# Newton limits of every solve; axis points of the copula and drift grids.
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-6, 200
+_COPULA_AXIS, _DRIFT_AXIS = 128, 256
 
 # Candidate exponent sets, from sparse to rich, searched by BIC when a fit
 # is not pinned to one set.  Even integer powers let a marginal hollow out
@@ -302,16 +308,16 @@ class MaxEntCopula:
         return np.exp(self.log_pdf(uv))
 
     def grid_pdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Product weights of the 128 x 128 solver grid and the density at
-        its nodes, ``u`` along rows, from the solver's own log density and
-        ``log Z``, so the values integrate to 1 to rounding."""
-        family = _copula_family(_copula_key(self.exponents), 128)
+        """Product weights of the solver grid and the density at its nodes,
+        ``u`` along rows, from the solver's own log density and ``log Z``,
+        so the values integrate to 1 to rounding."""
+        family = _copula_family(_copula_key(self.exponents), _COPULA_AXIS)
         return family.weights, np.exp(family.log_q(self.multipliers) + self.log_normalizer)
 
     def uniformity_gap(self) -> float:
         """Max deviation from 1 of both marginal densities at the axis
         nodes of the solver grid (diagnostic)."""
-        _, wu, _ = _unit_axis(128)
+        _, wu, _ = _unit_axis(_COPULA_AXIS)
         _, c = self.grid_pdf()
         return float(max(np.max(np.abs(c @ wu - 1.0)), np.max(np.abs(wu @ c - 1.0))))
 
@@ -324,20 +330,13 @@ def _legendre_rule(n):
     return x, w
 
 
-def _gauss_legendre(a, b, n):
-    x, w = _legendre_rule(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def _composite_gl(a, b, panels, nodes):
+    """The ``nodes``-point Gauss-Legendre rule on ``panels`` equal panels of ``[a, b]``."""
+    x, w = _legendre_rule(nodes)
     edges = np.linspace(a, b, panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = _gauss_legendre(lo, hi, nodes)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _support_nodes(a, b, panels=8, nodes=48):
@@ -356,12 +355,11 @@ def _support_nodes(a, b, panels=8, nodes=48):
 
 @functools.lru_cache(maxsize=None)
 def _unit_axis(n_axis):
-    """Axis rule of the copula grids on ``[0, 1]``: the nodes ``u = s**2``
-    and weights ``2 s ws`` of an ``n_axis``-point Gauss-Legendre rule in
-    ``s``, and their ``(n_axis, n_axis)`` product weights, ``u`` along
-    rows.  Read-only, and shared by every copula family on that grid."""
-    s, ws = _gauss_legendre(0.0, 1.0, n_axis)
-    u, wu = s * s, 2.0 * s * ws
+    """Axis rule of the copula grids: the 1-D rule of
+    :func:`_support_nodes` on ``[0, 1]`` with one ``n_axis``-point panel,
+    and its ``(n_axis, n_axis)`` product weights, ``u`` along rows.
+    Read-only, and shared by every copula family on that grid."""
+    u, wu = _support_nodes(0.0, 1.0, 1, n_axis)
     wuv = np.outer(wu, wu)
     for arr in (u, wu, wuv):
         arr.setflags(write=False)
@@ -624,7 +622,7 @@ def _newton(targets, family, tol, max_iter):
     :class:`_DenseFamily` (1-D).  The steps are taken in its whitened
     basis; for a copula that works on the per-axis arrays of
     :func:`_whiten`: the log density is the bilinear form
-    ``g.T @ Theta @ g`` over the 128 x 128 grid ``P`` of probabilities,
+    ``g.T @ Theta @ g`` over the grid ``P`` of probabilities,
     and the moments and the Hessian are read off its projection onto the
     span of the pairwise products, ``h P h.T`` (see
     :meth:`_TensorFamily.moments`).  Newton steps are affine
@@ -698,21 +696,22 @@ def _newton(targets, family, tol, max_iter):
 
 
 def _solve_copula(constraints):
-    """Fitted copula and the drift of its ``log Z`` from the 128-point
-    solver grid to a 256-point one.
+    """Fitted copula and the drift of its ``log Z`` from the solver grid to
+    the finer drift grid.
 
     This is the one copula solve: :func:`fit_copula` calls it on each
     rung, and :func:`_select` judges the drift times the sample size."""
     exps = _copula_key(constraints.exponents)
-    lam, log_z, _ = _newton(constraints.targets, _copula_family(exps, 128), 1e-6, 200)
-    drift = abs(_copula_family(exps, 256).log_partition(lam) - log_z)
+    lam, log_z, _ = _newton(constraints.targets, _copula_family(exps, _COPULA_AXIS),
+                            _NEWTON_TOL, _NEWTON_MAX_ITER)
+    drift = abs(_copula_family(exps, _DRIFT_AXIS).log_partition(lam) - log_z)
     return MaxEntCopula(exponents=constraints.exponents, multipliers=lam,
                         log_normalizer=-log_z), drift
 
 
-def solve_maxent(constraints: MomentConstraints, tol: float = 1e-6,
-                 max_iter: int = 200) -> MaxEntDensity:
-    """Solve the dual of 1-D constraints and return the fitted density.
+def solve_maxent(constraints: MomentConstraints) -> MaxEntDensity:
+    """Solve the dual of 1-D constraints to the fixed Newton limits and
+    return the fitted density.
 
     Raises :class:`InfeasibleConstraintsError` when the multipliers
     diverge and :class:`MaxEntError` when the iteration stalls.  Copula
@@ -723,7 +722,7 @@ def solve_maxent(constraints: MomentConstraints, tol: float = 1e-6,
         raise ValueError("solve_maxent fits 1-D constraints only; fit a copula "
                          "with fit_copula")
     lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
-                            tol, max_iter)
+                            _NEWTON_TOL, _NEWTON_MAX_ITER)
     return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
                          log_normalizer=-log_z,
                          support_shifted=constraints.support, shift=constraints.shift)

@@ -21,7 +21,9 @@ kernel follows the shrinking level sets.  The sampling phase then
 duplicates the final survivors into ``final_sample_size`` chains and
 applies ``final_mh_steps`` more transitions of the last adapted kernel
 targeting the failure region itself, producing an (approximately
-independent) conditioned sample for the sensitivity estimators.
+independent) conditioned sample for the sensitivity estimators.  Every
+level and the final phase select and move through one step,
+:func:`_select_and_move`, the sampler's only resampling site.
 
 Call accounting is exact for both kernels: the probability phase costs
 ``n_particles * (1 + n_levels * mutation_steps)`` model calls and the
@@ -235,7 +237,21 @@ def _chain_sweep(u, y, gamma, steps, box, model, kernel, rng):
         if not cn:
             np.copyto(half_sq, cand_half_sq, where=accept)
         accepted += int(np.count_nonzero(accept))
-    return u, y, accepted / float(n * steps) if steps > 0 else float("nan")
+    return u, y, accepted / float(n * steps)
+
+
+def _select_and_move(u, y, gamma, n, steps, box, model, kernel, rng):
+    """Draw ``n`` rows uniformly with replacement among the rows of ``u``
+    whose outputs ``y`` lie strictly above ``gamma`` and move them by
+    :func:`_chain_sweep`.  Returns the count above ``gamma``, the moved rows,
+    their outputs and the acceptance rate (``None`` for zero steps)."""
+    surv = np.flatnonzero(y > gamma)
+    if surv.size == 0:
+        raise SmcError(f"empty survivor set: no particles strictly above {gamma}")
+    rows = surv[rng.integers(0, surv.size, size=n)]
+    if steps == 0:
+        return surv.size, u[rows], y[rows], None
+    return surv.size, *_chain_sweep(u[rows], y[rows], gamma, steps, box, model, kernel, rng)
 
 
 def final_sampling(survivors_u, survivors_y, blackbox, input_model, event,
@@ -254,20 +270,9 @@ def final_sampling(survivors_u, survivors_y, blackbox, input_model, event,
     """
     survivors_u = np.atleast_2d(np.asarray(survivors_u, dtype=float))
     survivors_y = np.asarray(survivors_y, dtype=float).reshape(-1)
-    keep = survivors_y > event.threshold
-    if not np.any(keep):
-        raise SmcError("empty survivor set above the failure threshold; "
-                       "cannot start the sampling phase")
-    pool_u = survivors_u[keep]
-    pool_y = survivors_y[keep]
-    idx = rng.integers(0, pool_u.shape[0], size=int(n_sample))
-    u = pool_u[idx]
-    y = pool_y[idx]
-    if n_steps > 0:
-        u, y, rate = _chain_sweep(u, y, event.threshold, int(n_steps),
-                                  blackbox, input_model, kernel, rng)
-    else:
-        rate = None
+    _, u, y, rate = _select_and_move(survivors_u, survivors_y, event.threshold,
+                                     int(n_sample), int(n_steps), blackbox, input_model,
+                                     kernel, rng)
     return input_model.from_latent(u), y, rate
 
 
@@ -311,14 +316,10 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
         if p >= 1 and gamma <= levels[-2]:
             raise SmcError(f"level stagnation: level {p} at {gamma} does not improve on "
                            f"{levels[-2]}; outputs may be discrete or chains are stuck")
-        surv = np.flatnonzero(y > gamma)
-        if surv.size == 0:
-            raise SmcError(f"no particles strictly above level {gamma}; outputs are tied")
-        fractions.append(surv.size / n_x)
-        rng_level = stream(params.seed, _LEVEL, p)
-        idx = rng_level.integers(0, surv.size, size=n_x)
-        u, y, rate = _chain_sweep(u[surv][idx], y[surv][idx], gamma, params.mutation_steps,
-                                  blackbox, input_model, kernel, rng_level)
+        n_surv, u, y, rate = _select_and_move(u, y, gamma, n_x, params.mutation_steps,
+                                              blackbox, input_model, kernel,
+                                              stream(params.seed, _LEVEL, p))
+        fractions.append(n_surv / n_x)
         acceptance.append(rate)
         tunable.append(p > 0 and not (isinstance(kernel, CrankNicolsonKernel)
                                       and kernel.a >= _CN_MAX_A

@@ -266,7 +266,7 @@ def test_criterion_5_property_bundle():
     rng = np.random.default_rng(5)
     sample = rng.chisquare(4, 1000) + 1.0
     cons = fractional_moments_1d(sample)
-    density = solve_maxent(cons, tol=1e-8)
+    density = solve_maxent(cons)
     a, b = density.support
     x, w = _composite_gl(a, b, 32, 64)
     pdf = density.pdf(x)

@@ -5,6 +5,7 @@ import copy
 import importlib.util
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relsense import campaign
 from relsense.campaign import (
     FAMILY_ORDER,
     CampaignRuntimeError,
@@ -28,6 +30,19 @@ from relsense.model import BUILTIN_NAMES
 from relsense.smc import CrankNicolsonKernel, GaussianRandomWalkKernel
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the external chi2 config of test_bench_hooks: its model is a child process
+CHI2_EXTERNAL = {
+    "model": {"command": [sys.executable, str(BENCH / "chi2_model.py")], "dimension": 2},
+    "inputs": {"marginals": [{"kind": "normal", "mean": 0.0, "sd": 1.0},
+                             {"kind": "normal", "mean": 0.0, "sd": 1.0}]},
+    "event": {"threshold": 6.0},
+    "smc": {"n_particles": 200, "rho": 0.3, "mutation_steps": 2,
+            "final_sample_size": 500, "final_mh_steps": 2,
+            "kernel": {"type": "crank_nicolson", "a": 0.5}},
+    "replications": 1,
+}
 
 
 def table6_style_config(command):
@@ -500,6 +515,22 @@ class TestRunReplication:
                                       b["families"]["delta_f"][0])
         assert a["p_f_hat"] == b["p_f_hat"]
 
+    def test_closes_the_box_it_opens(self, monkeypatch):
+        opened = []
+        make = campaign._make_blackbox
+        monkeypatch.setattr(campaign, "_make_blackbox",
+                            lambda config: opened.append(make(config)) or opened[-1])
+        run_replication(parse_config(CHI2_EXTERNAL), 0)
+        assert len(opened) == 1
+        assert opened[0]._proc.poll() is not None
+
+    def test_leaves_a_passed_box_open(self):
+        config = parse_config(CHI2_EXTERNAL)
+        with campaign._make_blackbox(config) as box:
+            run_replication(config, 0, box)
+            assert box._proc.poll() is None
+        assert box._proc.poll() is not None
+
 
 class TestRunCampaign:
     def test_report_content(self, small_toy1_config):
@@ -545,10 +576,31 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_campaign(parse_config(small_toy1_config), jobs=0)
 
+    # ROADMAP direction 5: toy1 at a lowered threshold leaves copulas that no
+    # rung resolves, and their "quadrature error" warning is a known open item
+    @pytest.mark.filterwarnings("ignore:quadrature error:UserWarning")
     def test_threshold_override_detaches_references(self, small_toy1_config):
         small_toy1_config["event"] = {"threshold": 2.5}
         report = run_campaign(parse_config(small_toy1_config))
         assert report.references is None
+
+    def test_kullback_leibler_campaign(self, small_toy1_config):
+        # an unbounded divergence: no references, and eta_bar is only
+        # floored at zero, so X1's reads above 1 unclipped
+        small_toy1_config["indices"] = {"divergence": "kullback_leibler"}
+        report = run_campaign(parse_config(small_toy1_config))
+        assert report.references is None
+        for record in report.per_replication:
+            values, flags = record["families"]["eta_bar"]
+            assert values[0] > 1.0 and not flags[0]
+            sobol = record["families"]["sobol_indicator"][0]
+            assert np.all((sobol >= 0.0) & (sobol <= 1.0))
+            for fam in FAMILY_ORDER:
+                assert np.all(np.isfinite(record["families"][fam][0]))
+        rep = report.indices
+        assert rep.estimates["eta_bar"][0] > 1.0 and not rep.clipped["eta_bar"][0]
+        for fam in FAMILY_ORDER:
+            assert np.all(np.isfinite(rep.estimates[fam])) and np.all(np.isfinite(rep.sds[fam]))
 
     def test_reference_literals_are_the_oracles(self, toy1_refs, chi2_refs):
         from relsense.campaign import _REFERENCES
@@ -624,6 +676,9 @@ class TestExternalCampaign:
             "seed": 3,
         }
 
+    # ROADMAP direction 5: copulas of this external campaign that no rung
+    # resolves warn "quadrature error", a known open item
+    @pytest.mark.filterwarnings("ignore:quadrature error:UserWarning")
     def test_external_model_campaign(self, echo_first_command):
         config = parse_config(self.external_config(echo_first_command))
         report = run_campaign(config)
@@ -634,6 +689,9 @@ class TestExternalCampaign:
         assert eta_bar[0] > 0.5
         assert eta_bar[1] < 0.2
 
+    # ROADMAP direction 5: copulas of this external campaign that no rung
+    # resolves warn "quadrature error", a known open item
+    @pytest.mark.filterwarnings("ignore:quadrature error:UserWarning")
     def test_external_model_forces_sequential(self, echo_first_command):
         config = parse_config(self.external_config(echo_first_command))
         with pytest.warns(UserWarning, match="forcing jobs=1"):

@@ -15,6 +15,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10 ships no TOML reader
     tomllib = pytest.importorskip("tomli")
 
+from relsense import cli
 from relsense.cli import main
 
 
@@ -246,6 +247,23 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert f"argument --jobs: must be at least 1, got {jobs}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below_a_file"])
+    def test_out_naming_a_file_exits_2_before_running(self, small_config_file, tmp_path,
+                                                      capsys, monkeypatch, below):
+        # the output directory is made before the campaign, which never runs
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker.joinpath(*below)
+        monkeypatch.setattr(cli, "run_campaign",
+                            lambda *a, **k: pytest.fail("the campaign ran"))
+        code, out, err = run_cli(
+            ["estimate", "--config", str(small_config_file), "--out", str(out_dir)],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot create output directory {out_dir}: ")
+        assert blocker.read_text() == ""
 
     def test_runtime_failure_names_replication(self, small_toy1_config,
                                                tmp_path, capsys):

@@ -229,8 +229,9 @@ class TestFinalSampling:
                                     rng=stream(13, 0))
         assert rate is None
         assert box.call_count == 0
-        # only the rows above the threshold may appear
+        # only the rows above the threshold may appear, drawn uniformly
         assert set(np.round(x[:, 0], 12)) <= {0.8, 1.4, 2.0}
+        np.testing.assert_array_equal(x, survivors[1:][stream(13, 0).integers(0, 3, size=50)])
         np.testing.assert_array_equal(y, x[:, 0])
 
     def test_empty_survivor_set(self):
