@@ -62,7 +62,6 @@ result.
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import json
 import math
@@ -829,6 +828,8 @@ def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
             for r in range(config.replications):
                 records.append(_guard(config, r, lambda: run_replication(config, r, box)))
     else:
+        import concurrent.futures  # only a pool run pays for the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_replication, config, r)
                        for r in range(config.replications)]

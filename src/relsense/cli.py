@@ -20,13 +20,15 @@ Both read the file with :func:`relsense.campaign.read_config`.
 Exit codes: 0 on success, 1 when a run fails at runtime (the message
 names the failing replication and its seed), 2 for config or usage
 errors, an output directory that cannot be created among them, found
-before any replication runs.
+before any replication runs.  A run that fails at runtime removes the
+output directories it created and keeps one that already existed.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import shutil
 import sys
 from pathlib import Path
 
@@ -74,13 +76,24 @@ def cmd_estimate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     config = parse_config(raw)
+    # the outermost directory of --out that this run creates, if any
+    created = None
+    for path in (args.out, *args.out.parents):
+        if path.exists():
+            break
+        created = path
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"cannot create output directory {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = run_campaign(config, jobs=args.jobs)
-    report_path, csv_path = write_outputs(report, args.out)
+    try:
+        report = run_campaign(config, jobs=args.jobs)
+        report_path, csv_path = write_outputs(report, args.out)
+    except Exception:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     print(report.summary_table())
     print(f"wrote {report_path}")
     print(f"wrote {csv_path}")

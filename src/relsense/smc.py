@@ -57,6 +57,8 @@ __all__ = [
 # Stream ids under the run seed.
 _INIT, _LEVEL, _FINAL = 0, 1, 2
 
+# Acceptance rates a tuned kernel should produce, up to the binomial noise
+# of a phase's proposals (:func:`_outside_band`).
 ACCEPTANCE_BAND = (0.15, 0.40)
 
 # Rate the per-level kernel adaptation steers toward: inside the band, near
@@ -199,6 +201,15 @@ class SmcResult:
             object.__setattr__(self, name, arr)
 
 
+def _outside_band(rate, trials):
+    """Whether an acceptance rate over ``trials`` proposals lies outside
+    :data:`ACCEPTANCE_BAND` by more than two binomial standard errors of
+    that many trials at the nearer edge."""
+    lo, hi = ACCEPTANCE_BAND
+    return (rate < lo - 2.0 * math.sqrt(lo * (1.0 - lo) / trials)
+            or rate > hi + 2.0 * math.sqrt(hi * (1.0 - hi) / trials))
+
+
 def _check_kernel(kernel: Kernel, dimension: int):
     if isinstance(kernel, GaussianRandomWalkKernel) and len(kernel.step_sds) != dimension:
         raise SmcError(f"step_sds has length {len(kernel.step_sds)} but the input has "
@@ -332,13 +343,14 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
     n_levels = len(levels) - 1
     calls_probability = blackbox.call_count - calls_before
 
-    out_band = [r for r, t in zip(acceptance, tunable)
-                if t and not (ACCEPTANCE_BAND[0] <= r <= ACCEPTANCE_BAND[1])]
+    trials = n_x * params.mutation_steps
+    out_band = [r for r, t in zip(acceptance, tunable) if t and _outside_band(r, trials)]
     if out_band:
         worst = max(out_band, key=lambda r: min(abs(r - b) for b in ACCEPTANCE_BAND))
         warnings.warn(
             f"{len(out_band)} of {len(acceptance)} mutation phases had acceptance rates "
-            f"outside [{ACCEPTANCE_BAND[0]}, {ACCEPTANCE_BAND[1]}] after adaptation "
+            f"outside [{ACCEPTANCE_BAND[0]}, {ACCEPTANCE_BAND[1]}] after adaptation, "
+            f"by more than two standard errors of {trials} proposals "
             f"(worst {worst:.3f}); consider retuning the kernel", stacklevel=2)
 
     p_f_hat = float(np.prod(fractions) * (np.count_nonzero(y > s) / n_x))

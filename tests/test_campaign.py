@@ -602,6 +602,17 @@ class TestRunCampaign:
         for fam in FAMILY_ORDER:
             assert np.all(np.isfinite(rep.estimates[fam])) and np.all(np.isfinite(rep.sds[fam]))
 
+    def test_kullback_leibler_campaign_at_seed_0_warns_nothing(self, small_toy1_config):
+        # one of the 22 mutation phases of replication 1 reads an acceptance
+        # rate of 0.410, 0.6 binomial standard errors of its 900 proposals
+        # above the band edge 0.40: noise, not a badly tuned kernel
+        small_toy1_config["indices"] = {"divergence": "kullback_leibler"}
+        small_toy1_config["seed"] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_campaign(parse_config(small_toy1_config))
+        assert 369 / 900 in report.per_replication[1]["acceptance_rates"]
+
     def test_reference_literals_are_the_oracles(self, toy1_refs, chi2_refs):
         from relsense.campaign import _REFERENCES
 

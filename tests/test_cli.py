@@ -276,6 +276,20 @@ class TestEstimate:
         assert code == 1
         assert "runtime error:" in err
         assert "replication 0 (seed" in err
+        # the failed run removes the directories it created ...
+        assert not (tmp_path / "o").exists()
+        code, _, _ = run_cli(
+            ["estimate", "--config", str(path), "--out", str(tmp_path / "new" / "o")],
+            capsys)
+        assert code == 1 and not (tmp_path / "new").exists()
+        # ... and keeps one that already existed, with its contents
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "notes.txt").write_text("mine")
+        code, _, _ = run_cli(
+            ["estimate", "--config", str(path), "--out", str(tmp_path / "kept")],
+            capsys)
+        assert code == 1
+        assert [p.name for p in (tmp_path / "kept").iterdir()] == ["notes.txt"]
 
 
 class TestEntryPoints:

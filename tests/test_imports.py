@@ -60,13 +60,17 @@ import relsense, relsense.cli, relsense.oracle
 codes = [relsense.cli.main(["estimate", "--config", path, "--out", path + ".out"])
          for path in sys.argv[1:]]
 print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "unused": sorted(m for m in ("numpy.polynomial", "concurrent.futures")
+                     if m in sys.modules)}))
 """
 
 
 def test_campaign_process_loads_no_scipy(tmp_path, small_toy1_config):
     # the second config runs the normal cdf of a uniform input's latent
-    # map under gaussian dependence, and of a normal input's marginal mass
+    # map under gaussian dependence, and of a normal input's marginal mass.
+    # A --jobs 1 campaign also loads neither numpy.polynomial (the
+    # Gauss-Legendre rules come from a Newton solve) nor the process pool.
     uniform = dict(small_toy1_config, inputs={
         "marginals": [{"kind": "uniform", "low": 0.0, "high": 4.0},
                       {"kind": "normal", "mean": 0.0, "sd": 1.0}],
@@ -81,7 +85,7 @@ def test_campaign_process_loads_no_scipy(tmp_path, small_toy1_config):
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0], "scipy": []}
+    assert result == {"codes": [0, 0], "scipy": [], "unused": []}
 
 
 def test_package_and_cli_import_loads_no_oracle():

@@ -26,6 +26,7 @@ from relsense.maxent import (
     MaxEntDensity,
     MomentConstraints,
     _solve_copula,
+    _solver_weights,
     _unit_axis,
     copula_fractional_moments,
     fit_copula,
@@ -90,7 +91,8 @@ class GaussianCopulaDensity:
 
     def grid_pdf(self):
         """The closed form on the tensor nodes of the copula solver's grid."""
-        u, _, wuv = _unit_axis(128)
+        u, _ = _unit_axis(128)
+        wuv = _solver_weights()
         nodes = np.column_stack([np.repeat(u, u.size), np.tile(u, u.size)])
         return wuv, self.pdf(nodes).reshape(wuv.shape)
 

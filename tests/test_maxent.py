@@ -69,7 +69,7 @@ def dual_value(c, lam):
     """The convex dual ``<lam, mu> + log Z(lam)`` of constraints ``c``,
     formed from the family its solve runs on."""
     family = (maxent._density_family(c) if c.ndim == 1
-              else _copula_family(maxent._copula_key(c.exponents), 128))
+              else _copula_family(maxent._copula_key(c.exponents)))
     lam = np.asarray(lam, dtype=float)
     return float(lam @ c.targets + family.log_partition(lam))
 
@@ -464,7 +464,7 @@ class TestSolverPinned:
             assert delta_index(copula) == pytest.approx(delta, abs=1e-8), exps
             assert copula.log_normalizer == pytest.approx(log_c, abs=1e-5), exps
             assert _bic(c, copula) == pytest.approx(bic, abs=1e-3), exps
-            family = _copula_family(maxent._copula_key(c.exponents), 128)
+            family = _copula_family(maxent._copula_key(c.exponents))
             assert _newton(c.targets, family, 1e-6, 200)[2] == steps, exps
         assert len(fit_copula(xy).exponents) == winner
 
@@ -496,11 +496,10 @@ class TestProductSpan:
     """The basis ``h`` of the products of the axis polynomials, on which a
     copula family reads its moments and Hessian."""
 
-    @pytest.mark.parametrize("n_axis", [128, 256])
     @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
-    def test_basis(self, exps, n_axis):
-        family = _copula_family(copula_features(exps), n_axis)
-        _, wu, _ = _unit_axis(n_axis)
+    def test_basis(self, exps):
+        family = _copula_family(copula_features(exps))
+        _, wu = _unit_axis(128)
         k1, h = family.g.shape[0], family.h
         np.testing.assert_array_equal(h[:k1], family.g)
         gram = (h * (wu / np.sum(wu))) @ h.T
@@ -510,14 +509,13 @@ class TestProductSpan:
         assert h.shape[0] == len({round(a + b, 12) for a in values for b in values})
         assert family.pair_coef.shape == (k1 * k1, h.shape[0])
 
-    @pytest.mark.parametrize("n_axis", [128, 256])
     @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
-    def test_moments_of_a_random_grid_are_the_dense_ones(self, exps, n_axis):
+    def test_moments_of_a_random_grid_are_the_dense_ones(self, exps):
         # measured: means within 1e-15, Hessians within 2.6e-11 of their
-        # largest entry (the six-power rung at 128 points); a rough p
-        # weighs the sliver of the products outside the span the most
-        family = _copula_family(copula_features(exps), n_axis)
-        p = np.random.default_rng(26).random((n_axis, n_axis))
+        # largest entry (the six-power rung); a rough p weighs the sliver
+        # of the products outside the span the most
+        family = _copula_family(copula_features(exps))
+        p = np.random.default_rng(26).random((128, 128))
         p /= np.sum(p)
         self._assert_dense(family, p, 1e-10)
 
@@ -527,7 +525,7 @@ class TestProductSpan:
         # measured: Hessians within 2.6e-14 of their largest entry
         copula = fit_copula(toy1_pair(which), exps)
         w, c = copula.grid_pdf()
-        self._assert_dense(_copula_family(copula_features(exps), 128), w * c, 1e-12)
+        self._assert_dense(_copula_family(copula_features(exps)), w * c, 1e-12)
 
     @staticmethod
     def _assert_dense(family, p, rel):
@@ -609,6 +607,37 @@ class TestNewtonRidge:
             _newton(np.array([0.3, 0.0]), self._family(hessian), 1e-9, 50)
 
 
+class TestLegendreRule:
+    """The Gauss-Legendre rule of every quadrature grid, from Newton's
+    method on the three-term recurrence."""
+
+    @pytest.mark.parametrize("n", [48, 128, 256])
+    def test_integrates_every_power_below_2n(self, n):
+        # x**k over [-1, 1] is 2 / (k + 1) for even k and 0 for odd k; the
+        # error is judged against sum(w * |x|**k), which is the exact value
+        # for even k.  The bound is 2e-14, not 1e-14: the exact rule rounded
+        # to doubles (nodes and weights from mpmath) already misses x**254
+        # at n = 128 by 1.4e-14, as this rule does.
+        x, w = maxent._legendre_rule(n)
+        k = np.arange(2 * n)
+        got = np.array([np.sum(w * x ** j) for j in k])
+        scale = np.array([np.sum(w * np.abs(x) ** j) for j in k])
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        np.testing.assert_array_less(np.abs(got - exact), 2e-14 * scale)
+
+    @pytest.mark.parametrize("n", [1, 7, 48, 128, 256])
+    def test_agrees_with_numpys_eigenvalue_rule(self, n):
+        # measured: nodes within 1.1e-16, weights within 2.1e-11 relative
+        # at n = 256, where numpy's own weights are off by 1e-11
+        x, w = maxent._legendre_rule(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, want_x, rtol=0.0, atol=2e-16)
+        np.testing.assert_allclose(w, want_w, rtol=5e-11, atol=0.0)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0)
+
+
 class TestGridPdf:
     """A fitted copula read off its solver grid."""
 
@@ -618,7 +647,7 @@ class TestGridPdf:
         copula = fit_copula(toy1_pair(which), exps)
         w, c = copula.grid_pdf()
         assert np.sum(w * c) == pytest.approx(1.0, abs=1e-12)
-        u, _, _ = _unit_axis(128)
+        u, _ = _unit_axis(128)
         nodes = np.column_stack([np.repeat(u, u.size), np.tile(u, u.size)])
         pointwise = copula.pdf(nodes).reshape(c.shape)
         positive = pointwise > 0.0
@@ -638,17 +667,25 @@ class TestSolverBitIdentity:
             expected = [np.mean(u ** r * v ** s) for r, s in c.exponents]
             np.testing.assert_array_equal(c.targets, expected)
 
-    def test_drift_grid_is_the_unit_square_grid(self):
-        u, wu, wuv = _unit_axis(256)
-        s, ws = np.polynomial.legendre.leggauss(256)
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("exps", COPULA_LADDER, ids=lambda e: f"{len(e)}_exponents")
+    def test_drift_log_partition_is_the_dense_sum(self, exps, which):
+        # the panelled log Z equals the plain sum over the 256 x 256 product
+        # rule of the drift axis, the 1-D rule on [0, 1] with one panel
+        u, wu = _unit_axis(256)
+        s, ws = maxent._legendre_rule(256)
         s, ws = 0.5 + 0.5 * s, 0.5 * ws
         np.testing.assert_array_equal(u, s * s)
         np.testing.assert_array_equal(wu, 2.0 * s * ws)
-        np.testing.assert_array_equal(wuv, np.outer(wu, wu))
-        pairs = tuple((r, t) for r in COPULA_LADDER[2] for t in COPULA_LADDER[2])
-        family = _copula_family(pairs, 256)
-        np.testing.assert_array_equal(family.powers[1], u)  # the row of u ** 1.0
-        assert family.weights is wuv
+        copula = fit_copula(toy1_pair(which), exps)
+        key = maxent._copula_key(copula.exponents)
+        coef = _copula_family(key).power_coef(copula.multipliers)
+        powers = np.vstack([u ** e for e in maxent._axis_exponents(key)[0]])
+        logq = -(powers.T @ coef @ powers)
+        m = np.max(logq)
+        dense = m + math.log(np.sum(np.outer(wu, wu) * np.exp(logq - m)))
+        got = maxent._drift_log_partition(key, coef)
+        assert got == pytest.approx(dense, rel=1e-13, abs=1e-13)
 
     def test_log_partition_in_place(self):
         rng = np.random.default_rng(24)
