@@ -28,9 +28,9 @@ print(report.summary_table())
 
 # eta_bar answers a design question directly: freezing X1 to its nominal
 # law can change the failure probability by at most 2 * p_f * eta_bar
-eta = report.indices.estimates["eta"]
+eta = report.estimates["eta"]
 print("\nmax |perturbation of P_f| when one input is re-distributed:")
-for name, bound in zip(report.indices.input_names, eta):
+for name, bound in zip(config.input_names, eta):
     print(f"  {name}: {bound:.3e}")
 
 # the delta_f reference for X2 (0.769) sits a little above the estimate:

@@ -42,14 +42,14 @@ start = time.perf_counter()
 report = run_campaign(config)
 print(f"campaign finished in {time.perf_counter() - start:.1f} s, "
       f"{report.calls_total} model calls")
-print(f"p_f_hat = {report.indices.p_f_hat:.3e} over "
-      f"{report.indices.n_replications} replications "
+print(f"p_f_hat = {report.p_f_hat:.3e} over "
+      f"{len(report.per_replication)} replications "
       f"({report.n_levels_per_replication} levels each)\n")
 
-names = report.indices.input_names
+names = config.input_names
 for fam in ("eta_bar", "delta_f", "sobol_indicator"):
-    est = report.indices.estimates[fam]
-    ranks = report.indices.ranks[fam]
+    est = report.estimates[fam]
+    ranks = report.ranks[fam]
     order = sorted(range(6), key=lambda i: ranks[i])
     line = " > ".join(f"{names[i]}({est[i]:.3g})" for i in order)
     print(f"{fam:<16} {line}")

@@ -24,8 +24,7 @@ from .maxent import (DEFAULT_EXPONENTS, InfeasibleConstraintsError, MaxEntCopula
                      MaxEntDensity, MaxEntError, MomentConstraints,
                      copula_fractional_moments, fit_copula, fit_density,
                      fractional_moments_1d, solve_maxent)
-from .indices import (DivergenceSpec, EstimationError, IndexReport,
-                      WeightFunction, aggregate_replications, clip_unit,
+from .indices import (DivergenceSpec, EstimationError, WeightFunction,
                       csiszar_indices, csiszar_marginal_index, delta_index,
                       rank_descending, scaled_target_index, sobol_indicator_index,
                       target_tv_index)

@@ -2,10 +2,13 @@
 
 A campaign repeats the whole estimation pipeline (conditioned sampling,
 density fits, index evaluation) ``replications`` times with
-counter-derived seeds, then aggregates the per-replication tables into
-means, standard deviations and ranks.  Everything a run needs is read
-from a single JSON config document, so a report can be regenerated
-bit-identically from the pair (config, master seed).
+counter-derived seeds.  Each replication yields one record
+(:func:`run_replication`), and the :class:`CampaignReport` keeps those
+records as they are, folds them once into means, standard deviations
+and ranks, and reads every other figure off the records or the parsed
+config.  Everything a run needs is read from a single JSON config
+document, so a report can be regenerated bit-identically from the pair
+(config, master seed).
 
 The JSON grammar, by section (sections marked "optional" fall back to
 the defaults shown)::
@@ -74,8 +77,7 @@ import numpy as np
 
 from . import __version__
 from .external import external_blackbox
-from .indices import (DivergenceSpec, IndexReport, aggregate_replications,
-                      clip_unit, csiszar_marginal_index, delta_index,
+from .indices import (DivergenceSpec, csiszar_marginal_index, delta_index,
                       rank_descending, scaled_target_index,
                       sobol_indicator_index)
 from .maxent import fit_copula, fit_density
@@ -535,15 +537,20 @@ def parse_config(raw: dict) -> CampaignConfig:
 
 
 def read_config(path) -> dict:
-    """The raw JSON object of a config file; :class:`ConfigError` if unreadable."""
+    """The raw JSON object of a UTF-8 config file; :class:`ConfigError` if
+    unreadable."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc.strerror}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config {path} is not UTF-8 text: {exc}"]) from exc
     try:
         raw = json.loads(text)
     except ValueError as exc:  # also an integer literal too long for ``int``
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ConfigError(["config nests too deeply to parse"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     return raw
@@ -602,7 +609,7 @@ def run_replication(config: CampaignConfig, rep: int,
         values["delta_f"][i], flags["delta_f"][i] = _clip(delta_f, bounded)
         values["eta_bar"][i], flags["eta_bar"][i] = _clip(eta_bar, bounded)
         values["eta"][i] = scaled_target_index(values["eta_bar"][i], result.p_f_hat)
-        values["sobol_indicator"][i], flags["sobol_indicator"][i] = _clip(sobol, True)
+        values["sobol_indicator"][i], flags["sobol_indicator"][i] = _clip(sobol)
 
     return {
         "families": {fam: (values[fam], flags[fam]) for fam in FAMILY_ORDER},
@@ -617,69 +624,99 @@ def run_replication(config: CampaignConfig, rep: int,
     }
 
 
-def _clip(value: float, bounded: bool) -> tuple[float, bool]:
-    """Clip into [0, 1] for bounded generators, else only floor at zero."""
-    if bounded:
-        return clip_unit(value)
-    if value >= 0.0:
-        return float(value), False
-    return 0.0, True
+def _clip(value: float, bounded: bool = True) -> tuple[float, bool]:
+    """Clip an estimate into [0, 1], or only floor it at zero when not
+    ``bounded``; the flag records that clipping fired."""
+    clipped = min(max(float(value), 0.0), 1.0 if bounded else math.inf)
+    return clipped, clipped != value
 
 
 @dataclass(frozen=True)
 class CampaignReport:
     """Everything a finished campaign produced.
 
-    The aggregated table lives in ``indices`` (an
-    :class:`~relsense.indices.IndexReport`); ``per_replication`` keeps the
-    raw family tables so the CSV can list every replication.  The call
-    split is cross-checked against the black box call counter:
-    ``calls_probability + calls_sampling == calls_counter_total`` always
-    holds.  ``wall_clock_seconds`` is the one field excluded from the
+    ``per_replication`` holds the records exactly as
+    :func:`run_replication` returned them.  Construction folds them once
+    into per-family ``estimates`` (means over replications), ``sds``
+    (ddof=1, zero for one replication), ``ranks`` of the means and
+    ``clipped`` (true when any replication was clipped); every other
+    figure is read off the records or the parsed ``config``.
+    ``wall_clock_seconds`` is the one field excluded from the
     deterministic report body.
     """
 
-    config_echo: dict
-    version: str
-    indices: IndexReport
-    references: dict[str, tuple[float, ...]] | None
+    config: CampaignConfig
     per_replication: tuple[dict, ...]
-    p_f_per_replication: tuple[float, ...]
-    n_levels_per_replication: tuple[int, ...]
-    calls_probability: int
-    calls_sampling: int
-    calls_counter_total: int
-    master_seed: int
+    references: dict[str, tuple[float, ...]] | None
     wall_clock_seconds: float
+    estimates: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    sds: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    ranks: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    clipped: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.per_replication:
+            raise ValueError("no replications to aggregate")
+        est, sds, ranks, clipped = {}, {}, {}, {}
+        for fam in FAMILY_ORDER:
+            values = np.vstack([rec["families"][fam][0] for rec in self.per_replication])
+            flags = np.vstack([rec["families"][fam][1] for rec in self.per_replication])
+            est[fam] = values.mean(axis=0)
+            sds[fam] = (values.std(axis=0, ddof=1) if len(values) > 1
+                        else np.zeros(values.shape[1]))
+            ranks[fam] = rank_descending(est[fam])
+            clipped[fam] = flags.any(axis=0)
+        for name, table in (("estimates", est), ("sds", sds), ("ranks", ranks),
+                            ("clipped", clipped)):
+            object.__setattr__(self, name, table)
+
+    @property
+    def p_f_per_replication(self) -> tuple[float, ...]:
+        return tuple(rec["p_f_hat"] for rec in self.per_replication)
+
+    @property
+    def p_f_hat(self) -> float:
+        return float(np.mean(self.p_f_per_replication))
+
+    @property
+    def n_levels_per_replication(self) -> tuple[int, ...]:
+        return tuple(rec["n_levels"] for rec in self.per_replication)
+
+    def _calls(self, key: str) -> int:
+        return sum(rec[key] for rec in self.per_replication)
 
     @property
     def calls_total(self) -> int:
-        return self.calls_probability + self.calls_sampling
+        return self._calls("calls_probability") + self._calls("calls_sampling")
+
+    @property
+    def calls_counter_total(self) -> int:
+        return self._calls("calls_counter")
 
     def deterministic_body(self) -> dict:
         """The report content that is a pure function of (config, seed)."""
-        rep = self.indices
+        config = self.config
         return {
-            "version": self.version,
-            "config": self.config_echo,
-            "master_seed": self.master_seed,
-            "replications": rep.n_replications,
-            "input_names": list(rep.input_names),
-            "p_f_hat": rep.p_f_hat,
+            "version": __version__,
+            "config": config.raw,
+            "master_seed": config.master_seed,
+            "replications": len(self.per_replication),
+            "input_names": list(config.input_names),
+            "p_f_hat": self.p_f_hat,
             "p_f_per_replication": list(self.p_f_per_replication),
             "n_levels_per_replication": list(self.n_levels_per_replication),
             "calls": {
-                "probability_phase": self.calls_probability,
-                "sampling_phase": self.calls_sampling,
+                "probability_phase": self._calls("calls_probability"),
+                "sampling_phase": self._calls("calls_sampling"),
                 "total": self.calls_total,
                 "counter_total": self.calls_counter_total,
             },
             "indices": {
                 fam: {
-                    "mean": rep.estimates[fam].tolist(),
-                    "sd": rep.sds[fam].tolist(),
-                    "rank": rep.ranks[fam].tolist(),
-                    "clipped": rep.clipped[fam].tolist(),
+                    "mean": self.estimates[fam].tolist(),
+                    "sd": self.sds[fam].tolist(),
+                    "rank": self.ranks[fam].tolist(),
+                    "clipped": self.clipped[fam].tolist(),
                 }
                 for fam in FAMILY_ORDER
             },
@@ -687,7 +724,7 @@ class CampaignReport:
                 None if self.references is None
                 else {k: list(v) for k, v in self.references.items()}
             ),
-            "dependent_inputs": rep.dependent_inputs,
+            "dependent_inputs": config.input_model.dependence != "independent",
         }
 
     def to_json(self) -> str:
@@ -718,11 +755,9 @@ class CampaignReport:
         RD is the relative deviation ``(reference - mean) / reference``,
         blank when no reference exists or the reference is zero.
         """
-        rep = self.indices
-        model = self.config_echo.get("model", {})
-        label = model.get("builtin") or " ".join(model.get("command", ["?"]))
-        rows = [f"model: {label}  replications: {rep.n_replications}  "
-                f"p_f_hat: {rep.p_f_hat:.6g}  calls: {self.calls_total}"]
+        rows = [f"model: {self.config.model_label}  "
+                f"replications: {len(self.per_replication)}  "
+                f"p_f_hat: {self.p_f_hat:.6g}  calls: {self.calls_total}"]
         header = (f"{'index':<16}{'input':<12}{'reference':>16}"
                   f"{'mean':>16}{'sd':>12}{'RD':>10}")
         rows += [header, "-" * len(header)]
@@ -731,16 +766,16 @@ class CampaignReport:
             ref_ranks = None
             if refs is not None:
                 ref_ranks = rank_descending(np.asarray(refs))
-            for i, name in enumerate(rep.input_names):
-                mean, sd = rep.estimates[fam][i], rep.sds[fam][i]
-                rank = rep.ranks[fam][i]
+            for i, name in enumerate(self.config.input_names):
+                mean, sd = self.estimates[fam][i], self.sds[fam][i]
+                rank = self.ranks[fam][i]
                 if refs is None:
                     ref_txt, rd_txt = "-", "-"
                 else:
                     ref_txt = f"{refs[i]:.4g} ({ref_ranks[i]})"
                     rd_txt = (f"{(refs[i] - mean) / refs[i]:.3f}"
                               if refs[i] != 0.0 else "-")
-                clip_mark = "*" if rep.clipped[fam][i] else ""
+                clip_mark = "*" if self.clipped[fam][i] else ""
                 rows.append(f"{fam:<16}{name:<12}{ref_txt:>16}"
                             f"{f'{mean:.4g} ({rank}){clip_mark}':>16}"
                             f"{sd:>12.4g}{rd_txt:>10}")
@@ -802,7 +837,7 @@ def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | N
 
 
 def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
-    """Run every replication and aggregate.
+    """Run every replication and report their records.
 
     The report carries the tabulated reference values whenever the config
     targets ``toy1`` or ``additive_chi2`` with its own inputs, threshold
@@ -812,7 +847,8 @@ def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     replication number.  The result is identical to the sequential one
     for any config, including one changed after parsing (say with
     :func:`dataclasses.replace`), because each replication only touches
-    its own seed streams.  External models force ``jobs=1`` (a single
+    its own seed streams.  The first failing replication cancels those
+    that have not started.  External models force ``jobs=1`` (a single
     child process holds the pipe).
     """
     if jobs < 1:
@@ -833,30 +869,18 @@ def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_replication, config, r)
                        for r in range(config.replications)]
-            for r, fut in enumerate(futures):
-                records.append(_guard(config, r, fut.result))
+            try:
+                for r, fut in enumerate(futures):
+                    records.append(_guard(config, r, fut.result))
+            except BaseException:
+                # cancel the queued replications, so the pool's exit waits
+                # only for those already running
+                pool.shutdown(cancel_futures=True)
+                raise
 
-    indices = aggregate_replications(
-        [rec["families"] for rec in records],
-        [rec["p_f_hat"] for rec in records],
-        config.input_names,
-        dependent_inputs=config.input_model.dependence != "independent")
-    references = _reference_table(config)
-    wall = time.perf_counter() - start
-    return CampaignReport(
-        config_echo=config.raw,
-        version=__version__,
-        indices=indices,
-        references=references,
-        per_replication=tuple(records),
-        p_f_per_replication=tuple(rec["p_f_hat"] for rec in records),
-        n_levels_per_replication=tuple(rec["n_levels"] for rec in records),
-        calls_probability=sum(rec["calls_probability"] for rec in records),
-        calls_sampling=sum(rec["calls_sampling"] for rec in records),
-        calls_counter_total=sum(rec["calls_counter"] for rec in records),
-        master_seed=config.master_seed,
-        wall_clock_seconds=wall,
-    )
+    return CampaignReport(config=config, per_replication=tuple(records),
+                          references=_reference_table(config),
+                          wall_clock_seconds=time.perf_counter() - start)
 
 
 def _guard(config, rep, call):

@@ -21,8 +21,9 @@ Every density is fitted by :func:`~relsense.maxent.fit_density` or
 the Gauss-Legendre grid the max-entropy solver fitted that density on
 (:meth:`MaxEntDensity.quadrature` and :meth:`MaxEntCopula.grid_pdf`), so
 estimates are deterministic functions of the fitted densities and reach
-deep tails that no nominal draw does.  Estimates are clipped to their
-theoretical range by :func:`clip_unit` with a flag.
+deep tails that no nominal draw does.  The estimators return raw
+values; clipping them to their theoretical range and folding
+replications belong to :mod:`relsense.campaign`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
     "sobol_indicator_index",
     "csiszar_indices",
     "rank_descending",
-    "clip_unit",
-    "IndexReport",
 ]
 
 NEGATIVE_VARIANCE_FLOOR = -1e-12
@@ -303,55 +302,3 @@ def rank_descending(values) -> np.ndarray:
             rank = pos + 1
         ranks[idx] = rank
     return ranks
-
-
-def clip_unit(value: float) -> tuple[float, bool]:
-    """Clip an estimate to [0, 1]; the flag records that clipping fired."""
-    if 0.0 <= value <= 1.0:
-        return float(value), False
-    return float(min(max(value, 0.0), 1.0)), True
-
-
-@dataclass(frozen=True)
-class IndexReport:
-    """Replication-aggregated index table.
-
-    ``estimates`` maps each family name (``delta_f``, ``eta_bar``,
-    ``eta``, ``sobol_indicator``) to per-input means over replications,
-    with matching standard deviations, ranks of the means and clip flags
-    (true when any replication was clipped).
-    """
-
-    input_names: tuple[str, ...]
-    estimates: dict[str, np.ndarray]
-    sds: dict[str, np.ndarray]
-    ranks: dict[str, np.ndarray]
-    clipped: dict[str, np.ndarray]
-    p_f_hat: float
-    n_replications: int
-    dependent_inputs: bool = False
-
-
-def aggregate_replications(per_rep: list[dict], p_f_hats, input_names,
-                           dependent_inputs: bool = False) -> IndexReport:
-    """Fold per-replication family tables into an :class:`IndexReport`.
-
-    ``per_rep`` entries map family names to ``(values, clip_flags)``
-    pairs of per-input arrays.
-    """
-    if not per_rep:
-        raise ValueError("no replications to aggregate")
-    families = list(per_rep[0])
-    est, sds, ranks, clipped = {}, {}, {}, {}
-    for fam in families:
-        mat = np.vstack([rec[fam][0] for rec in per_rep])
-        flags = np.vstack([rec[fam][1] for rec in per_rep])
-        est[fam] = mat.mean(axis=0)
-        sds[fam] = mat.std(axis=0, ddof=1) if mat.shape[0] > 1 else np.zeros(mat.shape[1])
-        ranks[fam] = rank_descending(est[fam])
-        clipped[fam] = flags.any(axis=0)
-    return IndexReport(input_names=tuple(input_names), estimates=est, sds=sds,
-                       ranks=ranks, clipped=clipped,
-                       p_f_hat=float(np.mean(np.asarray(p_f_hats, dtype=float))),
-                       n_replications=len(per_rep),
-                       dependent_inputs=dependent_inputs)

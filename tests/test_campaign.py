@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -535,7 +536,7 @@ class TestRunReplication:
 class TestRunCampaign:
     def test_report_content(self, small_toy1_config):
         report = run_campaign(parse_config(small_toy1_config))
-        assert report.indices.n_replications == 2
+        assert len(report.per_replication) == 2
         assert report.calls_counter_total == report.calls_total
         assert len(report.p_f_per_replication) == 2
         assert report.references is not None
@@ -597,10 +598,10 @@ class TestRunCampaign:
             assert np.all((sobol >= 0.0) & (sobol <= 1.0))
             for fam in FAMILY_ORDER:
                 assert np.all(np.isfinite(record["families"][fam][0]))
-        rep = report.indices
-        assert rep.estimates["eta_bar"][0] > 1.0 and not rep.clipped["eta_bar"][0]
+        assert report.estimates["eta_bar"][0] > 1.0 and not report.clipped["eta_bar"][0]
         for fam in FAMILY_ORDER:
-            assert np.all(np.isfinite(rep.estimates[fam])) and np.all(np.isfinite(rep.sds[fam]))
+            assert (np.all(np.isfinite(report.estimates[fam]))
+                    and np.all(np.isfinite(report.sds[fam])))
 
     def test_kullback_leibler_campaign_at_seed_0_warns_nothing(self, small_toy1_config):
         # one of the 22 mutation phases of replication 1 reads an acceptance
@@ -639,6 +640,17 @@ class TestRunCampaign:
                            match=r"replication 0 \(seed \d+\) failed"):
             run_campaign(config)
 
+    def test_failing_pool_run_cancels_queued_replications(self, small_toy1_config,
+                                                           tmp_path, monkeypatch):
+        # every replication fails at its first level: the first failure must
+        # end the run, not wait for the whole queue to fail too
+        small_toy1_config["smc"]["max_levels"] = 1
+        config = replace(parse_config(small_toy1_config), replications=40)
+        monkeypatch.setattr(campaign, "run_replication", _CountingReplication(tmp_path))
+        with pytest.raises(CampaignRuntimeError, match=r"replication 0 \(seed \d+\) failed"):
+            run_campaign(config, jobs=2)
+        assert len(list(tmp_path.iterdir())) < 20
+
     def test_csv_layout(self, small_toy1_config):
         report = run_campaign(parse_config(small_toy1_config))
         lines = report.csv_text().splitlines()
@@ -672,6 +684,77 @@ class TestRunCampaign:
         assert parsed["report"]["master_seed"] == 7
 
 
+class _CountingReplication:
+    """:func:`run_replication` that first leaves one file per replication
+    it starts, so a test can count starts across worker processes, and
+    takes at least 50 ms, so a queue of them outlasts the pool's start."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def __call__(self, config, rep):
+        (self.directory / str(rep)).touch()
+        time.sleep(0.05)
+        return run_replication(config, rep)
+
+
+def _record(values, flags=(False, False), p_f_hat=1e-3):
+    """A replication record carrying the same table in every family."""
+    return {"families": {fam: (np.array(values), np.array(flags)) for fam in FAMILY_ORDER},
+            "p_f_hat": p_f_hat, "n_levels": 3, "calls_probability": 10,
+            "calls_sampling": 5, "calls_counter": 15}
+
+
+class TestReportFold:
+    @staticmethod
+    def report(config, *records):
+        return campaign.CampaignReport(config=parse_config(config), per_replication=records,
+                                       references=None, wall_clock_seconds=0.0)
+
+    def test_two_replication_fold(self, small_toy1_config):
+        report = self.report(small_toy1_config,
+                             _record([0.2, 0.6], p_f_hat=1e-3),
+                             _record([0.4, 0.8], flags=(True, False), p_f_hat=3e-3))
+        for fam in FAMILY_ORDER:
+            np.testing.assert_allclose(report.estimates[fam], [0.3, 0.7])
+            np.testing.assert_allclose(report.sds[fam],
+                                       np.std([[0.2, 0.6], [0.4, 0.8]], axis=0, ddof=1))
+            np.testing.assert_array_equal(report.ranks[fam], [2, 1])
+            np.testing.assert_array_equal(report.clipped[fam], [True, False])
+        assert report.p_f_hat == pytest.approx(2e-3)
+        assert report.p_f_per_replication == (1e-3, 3e-3)
+        assert report.n_levels_per_replication == (3, 3)
+        assert report.calls_total == report.calls_counter_total == 30
+        body = report.deterministic_body()
+        assert body["replications"] == 2
+        assert body["input_names"] == ["X1", "X2"]
+        assert body["calls"] == {"probability_phase": 20, "sampling_phase": 10,
+                                 "total": 30, "counter_total": 30}
+
+    def test_single_replication_has_zero_sd(self, small_toy1_config):
+        report = self.report(small_toy1_config, _record([0.5, 0.1]))
+        for fam in FAMILY_ORDER:
+            np.testing.assert_array_equal(report.sds[fam], [0.0, 0.0])
+        assert report.p_f_hat == 1e-3
+
+    def test_zero_replications_rejected(self, small_toy1_config):
+        config = replace(parse_config(small_toy1_config), replications=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no replications"):
+                run_campaign(config)
+
+    def test_clip(self):
+        assert campaign._clip(0.5) == (0.5, False)
+        assert campaign._clip(0.0) == (0.0, False)
+        assert campaign._clip(1.0) == (1.0, False)
+        assert campaign._clip(1.2) == (1.0, True)
+        assert campaign._clip(-0.3) == (0.0, True)
+        # an unbounded generator is only floored at zero
+        assert campaign._clip(1.2, bounded=False) == (1.2, False)
+        assert campaign._clip(-0.3, bounded=False) == (0.0, True)
+
+
 class TestExternalCampaign:
     @staticmethod
     def external_config(command):
@@ -696,7 +779,7 @@ class TestExternalCampaign:
         assert report.references is None
         assert report.calls_counter_total == report.calls_total
         # the model output is the first input, so its marginal moves a lot
-        eta_bar = report.indices.estimates["eta_bar"]
+        eta_bar = report.estimates["eta_bar"]
         assert eta_bar[0] > 0.5
         assert eta_bar[1] < 0.2
 
@@ -707,4 +790,4 @@ class TestExternalCampaign:
         config = parse_config(self.external_config(echo_first_command))
         with pytest.warns(UserWarning, match="forcing jobs=1"):
             report = run_campaign(config, jobs=4)
-        assert report.indices.n_replications == 1
+        assert len(report.per_replication) == 1

@@ -76,6 +76,25 @@ class TestValidate:
         assert out == ""
         assert "config error: inputs.dependence.covariance must be a numeric matrix" in err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, small_toy1_config, capsys):
+        small_toy1_config["inputs"] = {
+            "marginals": [{"kind": "normal", "mean": 0.0, "sd": 1.0}] * 2,
+            "names": ["caf\u00e9", "x2"]}
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(small_toy1_config, ensure_ascii=False).encode("latin-1"))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"config error: config {path} is not UTF-8 text" in err
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: config nests too deeply to parse\n"
+
     @pytest.mark.parametrize("command", ["validate", "estimate"])
     @pytest.mark.parametrize("keys", [("replications",), ("smc", "kernel", "a")],
                              ids=".".join)

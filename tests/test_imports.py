@@ -22,8 +22,7 @@ EXPORTS = (
     "InfeasibleConstraintsError", "MaxEntCopula", "MaxEntDensity", "MaxEntError",
     "MomentConstraints", "copula_fractional_moments", "fit_copula",
     "fit_density", "fractional_moments_1d", "solve_maxent",
-    "DivergenceSpec", "EstimationError", "IndexReport", "WeightFunction",
-    "aggregate_replications", "clip_unit", "csiszar_indices",
+    "DivergenceSpec", "EstimationError", "WeightFunction", "csiszar_indices",
     "csiszar_marginal_index", "delta_index",
     "rank_descending", "scaled_target_index", "sobol_indicator_index",
     "target_tv_index", "CampaignConfig", "CampaignReport", "CampaignRuntimeError",

@@ -11,8 +11,6 @@ from relsense.indices import (
     DivergenceSpec,
     EstimationError,
     WeightFunction,
-    aggregate_replications,
-    clip_unit,
     csiszar_indices,
     csiszar_marginal_index,
     delta_index,
@@ -375,36 +373,3 @@ class TestRanksAndClipping:
             rank_descending([])
         with pytest.raises(ValueError, match="non-empty 1-D"):
             rank_descending(np.zeros((2, 2)))
-
-    def test_clip_unit(self):
-        assert clip_unit(0.5) == (0.5, False)
-        assert clip_unit(0.0) == (0.0, False)
-        assert clip_unit(1.0) == (1.0, False)
-        assert clip_unit(1.2) == (1.0, True)
-        assert clip_unit(-0.3) == (0.0, True)
-
-
-class TestAggregation:
-    def test_two_replication_fold(self):
-        per_rep = [
-            {"delta_f": (np.array([0.2, 0.6]), np.array([False, False]))},
-            {"delta_f": (np.array([0.4, 0.8]), np.array([True, False]))},
-        ]
-        report = aggregate_replications(per_rep, p_f_hats=[1e-3, 3e-3],
-                                        input_names=("a", "b"))
-        np.testing.assert_allclose(report.estimates["delta_f"], [0.3, 0.7])
-        np.testing.assert_allclose(report.sds["delta_f"],
-                                   np.std([[0.2, 0.6], [0.4, 0.8]], axis=0, ddof=1))
-        np.testing.assert_array_equal(report.ranks["delta_f"], [2, 1])
-        np.testing.assert_array_equal(report.clipped["delta_f"], [True, False])
-        assert report.p_f_hat == pytest.approx(2e-3)
-        assert report.n_replications == 2
-
-    def test_single_replication_has_zero_sd(self):
-        per_rep = [{"eta_bar": (np.array([0.5]), np.array([False]))}]
-        report = aggregate_replications(per_rep, [1e-2], ("x",))
-        np.testing.assert_array_equal(report.sds["eta_bar"], [0.0])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="no replications"):
-            aggregate_replications([], [], ("x",))
