@@ -54,9 +54,14 @@ axis powers (held once per exponent set) and the axis weights.  On the
 solver grid the log density is formed in one buffer that is then turned
 in place into the weighted exponentials; the Newton loop carries those of
 an accepted line-search candidate to the next iterate.  Its linear
-algebra is ``numpy.linalg`` alone: one Cholesky factorization tests each
-ridged Hessian for positive definiteness and one general solve gives the
-step, so a fit loads no scipy.
+algebra is numpy alone, so a fit loads no scipy.  The whitening QR
+factorizations, plain and column-pivoted, are Householder reflections
+written in numpy (:func:`_householder_qr`).  The matrices are at most
+384 x 7 and 48 x 48, and calling LAPACK's QR and SVD on them would page
+their code in: about 0.8 MiB of a campaign process's peak resident
+memory.  So a fit calls two LAPACK routines, through ``numpy.linalg``:
+one Cholesky factorization tests each ridged Hessian for positive
+definiteness and one general solve gives the step.
 
 :func:`fit_density` and :func:`fit_copula` choose the exponent set of
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
@@ -518,18 +523,70 @@ class _TensorFamily:
         return self.coef.T @ first, self.coef.T @ cov @ self.coef
 
 
+def _householder_qr(a, rtol=None):
+    """Thin QR factorization ``a[:, perm] = q @ r`` of an ``(m, n)``
+    matrix, ``m >= n``, by Householder reflections (Golub & Van Loan,
+    *Matrix Computations*, 5.1-5.2): ``q`` has orthonormal columns and
+    ``r`` is upper triangular with a non-negative diagonal.  Each
+    reflector maps its column onto ``+|x| e_1`` (Parlett's choice of
+    vector, which needs no cancelling difference), so no signs are fixed
+    afterwards.  ``q`` is accumulated backwards from the reflectors.
+
+    Without ``rtol`` the columns keep their order and ``perm`` is the
+    identity.  With ``rtol`` the columns are pivoted (Businger & Golub,
+    Numer. Math. 1965; Golub & Van Loan 5.4): each step reflects the
+    remaining column of largest norm, whose norm is the next diagonal
+    entry, and the factorization stops before the first one at most
+    ``rtol`` times the first; ``q`` and ``r`` then have that many columns
+    and rows, and ``q`` is an orthonormal basis of the numerical column
+    space.  Returns ``(q, r, perm)``.
+    """
+    r = np.array(a, dtype=float)
+    m, n = r.shape
+    perm = np.arange(n)
+    refl = []  # (v, 2 / v.v) per step
+    for j in range(n):
+        if rtol is not None:
+            block = r[j:, j:]
+            norms = (block * block).sum(0)
+            p = j + int(np.argmax(norms))
+            if j and math.sqrt(norms[p - j]) <= rtol * r[0, 0]:
+                break
+            r[:, [j, p]] = r[:, [p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        x = r[j:, j]
+        sigma = x[1:].dot(x[1:])
+        alpha = math.sqrt(x[0] * x[0] + sigma)
+        v0 = x[0] - alpha if x[0] <= 0.0 else -sigma / (x[0] + alpha)
+        vv = v0 * v0 + sigma
+        beta = 2.0 / vv if vv > 0.0 else 0.0  # 0: x is already alpha e_1
+        v = x.copy()
+        v[0] = v0
+        rest = r[j:, j + 1:]
+        rest -= np.outer(v, beta * (v @ rest))
+        refl.append((v, beta))
+        r[j, j] = alpha
+        r[j + 1:, j] = 0.0
+    k = len(refl)
+    q = np.eye(m, k)
+    for j in range(k - 1, -1, -1):
+        v, beta = refl[j]
+        block = q[j:, j:]
+        block -= np.outer(v, beta * (v @ block))
+    return q, r[:k], perm
+
+
 def _orthonormal_powers(powers, weights):
     """Polynomials ``g`` orthonormal under ``weights`` with the span of the
     rows of ``powers``, row 0 the constant.
 
     A QR factorization of the powers under the weights gives
-    ``powers = R.T @ g``; the signs are fixed so that ``R`` has a positive
-    diagonal, which makes ``g[0]`` the constant 1.  Returns ``(g, R)``.
+    ``powers = R.T @ g``; ``R`` has a positive diagonal, which makes
+    ``g[0]`` the constant 1.  Returns ``(g, R)``.
     """
     wn = weights / np.sum(weights)
-    q, r = np.linalg.qr((powers * np.sqrt(wn)).T)
-    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return sign[:, None] * (q / np.sqrt(wn)[:, None]).T, sign[:, None] * r
+    q, r, _ = _householder_qr((powers * np.sqrt(wn)).T)
+    return (q / np.sqrt(wn)[:, None]).T, r
 
 
 def _product_span(g, weights):
@@ -542,12 +599,12 @@ def _product_span(g, weights):
     fewer than ``(k + 1)**2``.  ``g`` spans some of them (``g_0 g_k`` is
     ``g_k``) and is kept as the first rows of ``h``; the rest of the span
     is the row space of the residual of the products ``g_i g_k``,
-    ``1 <= i <= k``, after projecting out ``g``, taken from one SVD under
-    the weights, with the singular values above ``1e-10`` of the largest.
-    (Leaving out the products that repeat or lie in ``g`` leaves
-    ``k (k + 1) / 2`` rows, 21 at the ladder's six exponents; LAPACK takes
-    an SVD that small without divide and conquer, so a fit pages in less
-    of its code.)  Returns ``(h, pair_coef)`` with
+    ``1 <= i <= k``, after projecting out ``g``.  A column-pivoted QR
+    factorization of that residual under the weights gives it: the
+    leading columns of ``q``, cut where the diagonal of ``r`` falls to
+    ``1e-10`` of its largest entry.  (Leaving out the products that
+    repeat or lie in ``g`` leaves ``k (k + 1) / 2`` rows, 21 at the
+    ladder's six exponents.)  Returns ``(h, pair_coef)`` with
     ``pair_coef = (pairs * wn) @ h.T`` over all ``(k + 1)**2`` products,
     ``wn`` the normalized weights.
     """
@@ -555,11 +612,11 @@ def _product_span(g, weights):
     i, k = np.triu_indices(g.shape[0] - 1)
     prods = g[1:][i] * g[1:][k]
     resid = prods - ((prods * wn) @ g.T) @ g
-    _, sv, vt = np.linalg.svd(resid * np.sqrt(wn), full_matrices=False)
-    rest = vt[sv > 1e-10 * sv[0]] / np.sqrt(wn)
-    # a small singular value scales up the roundoff overlap of the
-    # residual with g (to 5e-11 on the set 0.3, 0.7, 1.1); projecting once
-    # more leaves h orthonormal to roundoff
+    q, _, _ = _householder_qr((resid * np.sqrt(wn)).T, rtol=1e-10)
+    rest = q.T / np.sqrt(wn)
+    # a small pivot scales up the roundoff overlap of the residual with g
+    # (to 5e-11 on the set 0.3, 0.7, 1.1); projecting once more leaves h
+    # orthonormal to roundoff
     rest -= ((rest * wn) @ g.T) @ g
     h = np.vstack([g, rest])
     pairs = (g[:, None, :] * g[None, :, :]).reshape(-1, g.shape[1])
@@ -575,8 +632,11 @@ def _feature_map(kron):
     ``kron[1:] = coef @ r``, whitens the features.  Returns
     ``(center, coef, r)``.
     """
-    coef, r = np.linalg.qr(kron[1:])
-    if np.any(np.abs(np.diag(r)) <= 1e-14 * np.max(np.abs(np.diag(r)))):
+    if kron.shape[0] <= kron.shape[1]:  # more features than centred basis functions
+        raise MaxEntError("features are linearly dependent on the support")
+    coef, r, _ = _householder_qr(kron[1:])
+    diag = np.diag(r)
+    if np.any(diag <= 1e-14 * np.max(diag)):
         raise MaxEntError("features are linearly dependent on the support")
     return kron[0], coef, r
 
@@ -737,6 +797,18 @@ def _newton(targets, family, tol, max_iter):
     :func:`numpy.linalg.solve` with that matrix, and the factor itself is
     not used.  The weighted exponentials of an accepted line-search
     candidate are those of the next iterate, so they are carried over.
+
+    Near the optimum of a badly scaled rung (``z**6`` on ``[3, 6.5]`` has
+    a ``scale`` of 7e4) the scaled test can stay out of reach while the
+    predicted decrease ``-slope`` falls below the roundoff of the
+    objective, so no step can lower it.  An iterate whose whitened
+    gradient ``grad`` and gradient ``r.T @ grad`` both meet ``tol`` and
+    whose ``-slope`` is at most ``1e-13 * max(1, |obj|)`` has converged
+    to rounding.  It is returned when the line search fails at it, and
+    the last such iterate is returned when ``max_iter`` runs out; the
+    iteration never stops at one earlier (rounding exit; Nocedal &
+    Wright, *Numerical Optimization*, 2006, on line-search termination
+    at machine precision).
     """
     scale, center, r, w = family.scale, family.center, family.r, family.weights
     mu_s = targets / scale
@@ -745,6 +817,12 @@ def _newton(targets, family, tol, max_iter):
     eye = np.eye(lam.shape[0])
     mstar, qw = _weighted_exp(family.whitened_log_q(lam), w)
     z = float(np.sum(qw))
+
+    def result(lam, it):
+        lam_orig = _solve_upper(r, lam, trans=0) / scale
+        return lam_orig, family.log_partition(lam_orig), it
+
+    rounded = None  # (multipliers, iteration) of the last iterate converged to rounding
     for it in range(1, max_iter + 1):
         # a finite, positive z keeps the moments and so the Hessian finite
         if not np.isfinite(z) or z <= 0.0:
@@ -754,8 +832,7 @@ def _newton(targets, family, tol, max_iter):
         grad = mu_g - mom
         grad_s = r.T @ grad
         if _norm(grad_s * scale) <= tol and _norm(grad_s) <= tol:
-            lam_orig = _solve_upper(r, lam, trans=0) / scale
-            return lam_orig, family.log_partition(lam_orig), it
+            return result(lam, it)
         obj = float(lam @ mu_g + mstar + math.log(z))
         ridge = 0.0
         while True:
@@ -777,6 +854,10 @@ def _newton(targets, family, tol, max_iter):
         if not slope < 0.0:
             raise MaxEntError("Newton step is not a descent direction; the dual "
                               "Hessian is numerically singular")
+        at_rounding = (_norm(grad) <= tol and _norm(grad_s) <= tol
+                       and -slope <= 1e-13 * max(1.0, abs(obj)))
+        if at_rounding:
+            rounded = lam, it
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
@@ -788,11 +869,15 @@ def _newton(targets, family, tol, max_iter):
                 break
             t *= 0.5
         else:
+            if at_rounding:
+                return result(lam, it)
             raise MaxEntError("line search failed; the dual may be flat or the "
                               "constraints near the feasibility boundary")
         if _norm(lam) > 1e10:
             raise InfeasibleConstraintsError("dual multipliers diverging; no density on "
                                              "the support matches the moment targets")
+    if rounded is not None:
+        return result(*rounded)
     raise MaxEntError(f"Newton did not reach gradient norm {tol} in {max_iter} iterations")
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
 
-from relsense import maxent
+from relsense import campaign, maxent
+from relsense.campaign import parse_config, replication_seed, run_replication
 from relsense.maxent import (
     COPULA_LADDER,
     DEFAULT_EXPONENTS,
@@ -20,6 +22,7 @@ from relsense.maxent import (
     MomentConstraints,
     _bic,
     _copula_family,
+    _householder_qr,
     _log_partition,
     _newton,
     _solve_copula,
@@ -32,6 +35,7 @@ from relsense.maxent import (
     solve_maxent,
 )
 from relsense.indices import delta_index
+from relsense.smc import run_adaptive_smc
 
 
 def integrate_pdf(density, fn=None):
@@ -353,8 +357,10 @@ class TestSolveCopula:
             _solve_copula(c)
 
     @pytest.mark.parametrize("exponents", [((1.0, 1.0), (0.5, 1.0), (1.0, 1.0)),
-                                           ((0.0, 0.0), (1.0, 1.0))],
-                             ids=["repeated_pair", "constant_feature"])
+                                           ((0.0, 0.0), (1.0, 1.0)),
+                                           ((1.0, 1.0),) * 4],
+                             ids=["repeated_pair", "constant_feature",
+                                  "more_features_than_products"])
     def test_dependent_features_raise(self, exponents):
         c = MomentConstraints(ndim=2, exponents=exponents,
                               targets=[0.25] * len(exponents),
@@ -537,6 +543,94 @@ class TestProductSpan:
 
 
 
+def _recorded_qr(monkeypatch):
+    """Record every :func:`_householder_qr` call of the solver as
+    ``(a, rtol, (q, r, perm))``."""
+    calls = []
+    factor = maxent._householder_qr
+
+    def recording(a, rtol=None):
+        out = factor(a, rtol)
+        calls.append((np.array(a), rtol, out))
+        return out
+
+    monkeypatch.setattr(maxent, "_householder_qr", recording)
+    return calls
+
+
+def _assert_qr_contract(a, q, r, perm, rel):
+    """``q`` orthonormal, ``r`` upper triangular with a positive diagonal,
+    and ``a[:, perm] = q @ r`` to ``rel`` of the largest entry of ``a``."""
+    k = q.shape[1]
+    assert r.shape == (k, a.shape[1])
+    np.testing.assert_allclose(q.T @ q, np.eye(k), rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(np.tril(r, -1), 0.0)
+    assert np.all(np.diag(r) > 0.0)
+    np.testing.assert_allclose(q @ r, a[:, perm], rtol=0.0, atol=rel * np.max(np.abs(a)))
+
+
+class TestHouseholderQR:
+    """The QR factorization that whitens every family: its contract, on the
+    matrices the solver factorizes."""
+
+    @pytest.mark.parametrize("support", [(3.0, 6.5), (3.0, 4.0), (5.0, 6.0), (10.0, 11.0)])
+    def test_power_matrices_of_short_supports_far_from_zero(self, monkeypatch, support):
+        # measured: the feature map ``r`` of the sixth-power rung has a
+        # condition number of 1.0e6, 1.2e8, 1.2e9 and 3.3e10 on these supports
+        calls = _recorded_qr(monkeypatch)
+        family = maxent._density_family(MomentConstraints(
+            ndim=1, exponents=MARGINAL_LADDER[-1], targets=[1.0] * 6, support=support))
+        assert np.linalg.cond(family.r) > 5e5
+        assert [a.shape for a, _, _ in calls] == [(384, 7), (6, 6)]
+        for a, rtol, (q, r, perm) in calls:
+            assert rtol is None
+            np.testing.assert_array_equal(perm, np.arange(a.shape[1]))
+            _assert_qr_contract(a, q, r, perm, 1e-13)
+
+    @pytest.mark.parametrize("exps", SPAN_SETS, ids=str)
+    def test_copula_rungs(self, monkeypatch, exps):
+        calls = _recorded_qr(monkeypatch)
+        _copula_family.cache_clear()
+        try:
+            _copula_family(copula_features(exps))
+        finally:
+            _copula_family.cache_clear()
+        assert [rtol for _, rtol, _ in calls] == [None, None, 1e-10]
+        for a, rtol, (q, r, perm) in calls[:2]:
+            np.testing.assert_array_equal(perm, np.arange(a.shape[1]))
+            _assert_qr_contract(a, q, r, perm, 1e-13)
+        # the pivoted factorization of the product residual stops at its
+        # numerical rank: the columns it leaves out are below the cut
+        a, _, (q, r, perm) = calls[2]
+        diag = np.diag(r)
+        assert np.all(diag[1:] <= diag[:-1]) and diag[-1] > 1e-10 * diag[0]
+        _assert_qr_contract(a, q, r, perm, 1e-10)
+        assert np.max(np.abs(a - q @ (q.T @ a))) <= 1e-10 * np.max(np.abs(a))
+
+    def test_identity_steps_and_rank_deficient_columns(self):
+        # a column already on e_1 takes no reflection; a negative one is
+        # flipped; a zero column leaves a zero pivot
+        a = np.array([[2.0, 1.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        q, r, _ = _householder_qr(a)
+        np.testing.assert_allclose(q @ r, a, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.diag(r), [2.0, 3.0, 0.0], rtol=0.0, atol=1e-15)
+        q, r, perm = _householder_qr(a, rtol=1e-10)
+        assert q.shape == (4, 2) and list(perm[:2]) == [1, 0]
+
+    def test_a_replication_calls_no_lapack_qr_or_svd(self, monkeypatch, small_toy1_config):
+        def refused(*args, **kwargs):
+            raise AssertionError("LAPACK QR or SVD called")
+
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        _copula_family.cache_clear()
+        try:
+            record = run_replication(parse_config(small_toy1_config), 0)
+        finally:
+            _copula_family.cache_clear()
+        assert np.all(np.isfinite(record["families"]["delta_f"][0]))
+
+
 class _FakeFamily:
     """Test double of the family contract of :func:`_newton`: features that
     are already whitened (unit scale, zero centre, ``r`` the identity), the
@@ -605,6 +699,69 @@ class TestNewtonRidge:
     def test_unusable_hessian_is_numerically_singular(self, hessian, message):
         with pytest.raises(MaxEntError, match=message):
             _newton(np.array([0.3, 0.0]), self._family(hessian), 1e-9, 50)
+
+
+# the criterion-2 campaign of the acceptance gate (seed 42)
+CHI2_CRITERION = {
+    "model": {"builtin": "additive_chi2"},
+    "smc": {"n_particles": 300, "rho": 0.5507, "mutation_steps": 3,
+            "final_sample_size": 5000, "final_mh_steps": 3,
+            "kernel": {"type": "crank_nicolson", "a": 0.5}},
+    "replications": 100,
+    "seed": 42,
+}
+
+
+def chi2_criterion_x2(rep):
+    """The X2 column of the conditioned sample of criterion-2 replication ``rep``."""
+    config = parse_config(CHI2_CRITERION)
+    params = replace(config.smc, seed=replication_seed(config.master_seed, rep))
+    with campaign._make_blackbox(config) as box:
+        result = run_adaptive_smc(box, config.input_model, config.event, params)
+    return result.conditioned_sample[:, 1]
+
+
+def assert_converged_to_tol(sample):
+    """Solve the (1, ..., 6) rung on ``sample`` and check that the returned
+    multipliers meet the Newton tolerance on the gradient of the scaled
+    features and on the whitened gradient."""
+    c = fractional_moments_1d(sample, MARGINAL_LADDER[-1])
+    family = maxent._density_family(c)
+    lam, log_z, _ = _newton(c.targets, family, maxent._NEWTON_TOL, maxent._NEWTON_MAX_ITER)
+    p = family.weights * np.exp(-(lam @ family.feats) - log_z)
+    assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
+    grad_s = c.targets / family.scale - (family.feats / family.scale[:, None]) @ p
+    grad = np.linalg.solve(family.r.T, grad_s)
+    assert np.linalg.norm(grad_s) <= maxent._NEWTON_TOL
+    assert np.linalg.norm(grad) <= maxent._NEWTON_TOL
+
+
+class TestNewtonRoundingExit:
+    """Near the optimum of the (1, ..., 6) rung on a support far from 0 the
+    scaled gradient test of :func:`_newton` can stay out of reach while no
+    step lowers the dual; an iterate converged to rounding is returned.
+
+    Measured: on criterion-2 replication 28 the line search fails in step
+    14 (whitened gradient 2.1e-8, scaled test 8.3e-5); replication 1 runs
+    out the 200 steps and returns a point with a whitened gradient of
+    1.1e-9 (scaled test 3.2e-6).  Without the exit, replication 28 raises
+    "line search failed" and replication 1 "Newton did not reach ..."; a
+    solver whitened by LAPACK's QR and without the exit raised "line
+    search failed" on both.  Of the hard-edge samples, ``|Z| + 3`` for
+    seeds 0-14 and n = 500 ... 3000, that solver failed on one (seed 8,
+    n = 1000, out of steps)."""
+
+    def test_line_search_exit(self):
+        assert_converged_to_tol(chi2_criterion_x2(28))
+
+    def test_iteration_limit_exit(self):
+        assert_converged_to_tol(chi2_criterion_x2(1))
+
+    def test_hard_edge_samples(self):
+        for seed in range(15):
+            for n in (500, 1000, 2000, 3000):
+                sample = np.abs(np.random.default_rng(seed).standard_normal(n)) + 3.0
+                assert_converged_to_tol(sample)
 
 
 class TestLegendreRule:
