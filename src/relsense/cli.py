@@ -17,6 +17,12 @@ built-in benchmark.  ``validate`` checks a config document statically,
 without a single model evaluation, by the same parse ``estimate`` runs.
 Both read the file with :func:`relsense.campaign.read_config`.
 
+:func:`main` and ``estimate`` set two things for the whole process,
+which the library entry points leave alone: ``gc.freeze()``, so that
+collections skip the imported modules, and, for the length of the
+campaign, a hold-back of OpenSSL's ``_hashlib``, so that numpy.random
+loads on Python's builtin hashes instead of mapping libcrypto.
+
 Exit codes: 0 on success, 1 when a run fails at runtime (the message
 names the failing replication and its seed), 2 for config or usage
 errors, an output directory that cannot be created among them, found
@@ -87,6 +93,18 @@ def cmd_estimate(args) -> int:
     except OSError as exc:
         print(f"cannot create output directory {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # numpy >= 2 imports numpy.random on first use, in the first
+    # replication; its bit_generator imports secrets, hmac and hashlib, and
+    # hashlib maps OpenSSL's libcrypto, 3.4 MiB resident of a 39.6 MiB
+    # campaign process on Linux x86-64, for hashes no seed here uses (every
+    # SeedSequence is given its entropy).  A None entry makes that import
+    # fail the way it does on a build without OpenSSL, so hashlib falls
+    # back to Python's builtin hashes.  The entry goes on return: a later
+    # import in the caller gets OpenSSL, while modules imported in between
+    # keep the builtins.
+    held_back = "_hashlib" not in sys.modules
+    if held_back:
+        sys.modules["_hashlib"] = None
     try:
         report = run_campaign(config, jobs=args.jobs)
         report_path, csv_path = write_outputs(report, args.out)
@@ -94,6 +112,9 @@ def cmd_estimate(args) -> int:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
+    finally:
+        if held_back:
+            sys.modules.pop("_hashlib", None)
     print(report.summary_table())
     print(f"wrote {report_path}")
     print(f"wrote {csv_path}")
