@@ -10,10 +10,20 @@ single time.
 
 A batch is one exchange: requests are written on a non-blocking pipe
 while replies are drained under one selector loop, so no pipe size can
-deadlock the two processes.  Replies are parsed as they arrive, but an
-error is raised only once every reply of the batch is read, so a bad reply
-leaves no stale line behind for the next call.  The exchange is the box's
-one model function, so a single evaluation is a one-row exchange.
+deadlock the two processes.  Requests carry every coordinate as ``%.17g``:
+seventeen significant digits identify every double, so the model reads
+back exactly the values of the batch.  Replies are parsed as they arrive,
+but an error is raised only once every reply of the batch is read, so a bad
+reply leaves no stale line behind for the next call.  The exchange is the
+box's one model function, so a single evaluation is a one-row exchange.
+
+On Linux the calling thread waits out an exchange under ``SCHED_BATCH``
+(when it runs under ``SCHED_OTHER``) and gets its policy back afterwards.
+A woken batch task does not preempt the running one (sched(7)), so a model
+sharing the parent's CPU and flushing every reply is not interrupted once
+per reply; the parent reads the replies when the model blocks on an
+empty stdin, about once per request chunk.  Where the policy cannot be
+set, the exchange runs under the thread's own policy.
 """
 
 from __future__ import annotations
@@ -31,10 +41,30 @@ __all__ = ["ExternalBlackBox", "external_blackbox"]
 # Rows encoded per request chunk and bytes taken per read of the replies.
 # Small chunks let the model start answering sooner when both processes
 # share one CPU, and keep the transient text of a batch (and the process's
-# peak memory) small; one format call per chunk still amortises the
-# per-value cost.
+# peak memory) small; one ``%.17g`` format call per chunk still amortises
+# the per-value cost.  Under ``SCHED_BATCH`` (Linux) the parent wakes for
+# the replies about once per chunk the model has drained, not per reply.
 CHUNK_ROWS = 256
 READ_BYTES = 1 << 14
+
+
+def _wait_as_batch():
+    """Put the calling thread on ``SCHED_BATCH``; return the policy to restore.
+
+    Returns None, changing nothing, where the thread is not on
+    ``SCHED_OTHER``, the platform has no ``SCHED_BATCH`` or the policy
+    cannot be set.
+    """
+    batch = getattr(os, "SCHED_BATCH", None)
+    if batch is None:
+        return None
+    try:
+        if os.sched_getscheduler(0) != os.SCHED_OTHER:
+            return None
+        os.sched_setscheduler(0, batch, os.sched_param(0))
+    except OSError:
+        return None
+    return os.SCHED_OTHER
 
 
 class ExternalBlackBox(BlackBox):
@@ -57,12 +87,16 @@ class ExternalBlackBox(BlackBox):
         os.set_blocking(self._in_fd, False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._out_fd, selectors.EVENT_READ)
-        self._row_format = "%r " * (int(dimension) - 1) + "%r\n"
+        self._row_format = "%.17g " * (int(dimension) - 1) + "%.17g\n"
         super().__init__(self._exchange, dimension, " ".join(argv))
 
     def _request(self, x: np.ndarray, i: int) -> str:
-        """Request line ``i`` of batch ``x`` as written, without its newline."""
-        return (self._row_format % tuple(x[i].tolist()))[:-1]
+        """Request line ``i`` of batch ``x`` for an error message.
+
+        The values are the ones written, each in its shortest ``repr``
+        form rather than the ``%.17g`` of the wire.
+        """
+        return " ".join(map(repr, x[i].tolist()))
 
     def _failure(self, what: str, x: np.ndarray, i: int, exit_code) -> EvaluationError:
         return EvaluationError(
@@ -87,6 +121,7 @@ class ExternalBlackBox(BlackBox):
         chunk, sent, chunk_row, next_row = b"", 0, 0, 0
         refused_at = None                # rows written in full when a write failed
         sel.register(in_fd, selectors.EVENT_WRITE)
+        policy = _wait_as_batch()
         try:
             while got < n:
                 for key, _ in sel.select():
@@ -95,11 +130,15 @@ class ExternalBlackBox(BlackBox):
                         if not data:
                             raise self._failure("closed its output", x, got, self._exit_code())
                         *lines, tail = (tail + data).split(b"\n")
-                        for i, reply in enumerate(lines[:n - got], got):
-                            try:
-                                y[i] = float(reply)
-                            except ValueError:
-                                bad = bad or (i, reply)
+                        replies = lines[:n - got]
+                        try:
+                            y[got:got + len(replies)] = list(map(float, replies))
+                        except ValueError:
+                            for i, reply in enumerate(replies, got):
+                                try:
+                                    y[i] = float(reply)
+                                except ValueError:
+                                    bad = bad or (i, reply)
                         got += len(lines)
                         continue
                     if sent == len(chunk):
@@ -119,6 +158,8 @@ class ExternalBlackBox(BlackBox):
                 if refused_at is not None and got >= refused_at:
                     raise self._failure("is not accepting input", x, got, self._exit_code())
         finally:
+            if policy is not None:
+                os.sched_setscheduler(0, policy, os.sched_param(0))
             if in_fd in sel.get_map():
                 sel.unregister(in_fd)
         if got != n or tail:

@@ -1,5 +1,7 @@
 """Process-backed black boxes speaking the one-line-per-call protocol."""
 
+import math
+import os
 import sys
 import threading
 
@@ -48,10 +50,20 @@ def test_echo_first_coordinate(echo_first_command):
         assert box.call_count == 2
 
 
+EXACT_VALUES = [5e-324, -0.0, 1.7976931348623157e308, 0.1 + 0.2,
+                math.nextafter(1.0, 2.0), 1e-310]
+
+
 def test_round_trips_full_double_precision(echo_first_command):
-    value = 0.1 + 0.2  # not exactly representable in shorter decimal forms
+    # the model echoes the request's text, so each reply is the wire form read
+    # back: the extremes, a signed zero, subnormals and values (0.1 + 0.2, the
+    # double after 1) that no shorter decimal form identifies
+    x = np.array([[v, 1.0] for v in EXACT_VALUES])
     with external_blackbox(echo_first_command, dimension=2) as box:
-        assert box.evaluate([value, 0.0]) == value
+        got = _run_bounded(box, lambda: box.evaluate_batch(x))
+    assert got.tobytes() == x[:, 0].tobytes()
+    for reply, value in zip(got.tolist(), EXACT_VALUES):
+        assert math.copysign(1.0, reply) == math.copysign(1.0, value)
 
 
 def test_wrapper_matches_builtin(toy1_wrapper_command):
@@ -196,3 +208,74 @@ def test_unrequested_output_is_rejected(tmp_path):
     with external_blackbox(_script(tmp_path, TWO_LINES_PER_REQUEST), dimension=1) as box:
         with pytest.raises(EvaluationError, match="more than one line per request"):
             _run_bounded(box, lambda: box.evaluate([1.0]))
+
+
+def test_flushed_replies_wake_the_caller_about_once_per_chunk(echo_first_command):
+    # On one shared CPU a model that flushes every reply wakes the waiting
+    # caller once per reply (hundreds of switches for this batch) unless the
+    # caller waits under SCHED_BATCH, which lets the model drain a request
+    # chunk before the caller runs again.
+    resource = pytest.importorskip("resource")
+    if not (hasattr(os, "SCHED_BATCH") and hasattr(os, "sched_setaffinity")
+            and hasattr(resource, "RUSAGE_THREAD")):
+        pytest.skip("needs SCHED_BATCH, sched_setaffinity and RUSAGE_THREAD")
+    x = np.random.default_rng(8).normal(size=(5000, 2))
+    policy = os.sched_getscheduler(0)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        # started after pinning, so the model shares the caller's CPU
+        with external_blackbox(echo_first_command, dimension=2) as box:
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw
+            got = box.evaluate_batch(x)
+            switches = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw - before
+            after = os.sched_getscheduler(0)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert switches < 64
+    assert after == policy
+    np.testing.assert_array_equal(got, x[:, 0])
+
+
+# bound at import, so that a test can patch os.sched_setscheduler around it
+_SET_POLICY = getattr(os, "sched_setscheduler", None)
+
+
+@pytest.mark.parametrize("start, switches", [
+    ("SCHED_OTHER", ["SCHED_BATCH", "SCHED_OTHER"]),  # waits as batch, then restored
+    ("SCHED_BATCH", []),                              # left as it is
+])
+def test_exchange_leaves_the_thread_policy_as_it_found_it(
+        echo_first_command, monkeypatch, start, switches):
+    if not hasattr(os, "SCHED_BATCH"):
+        pytest.skip("needs SCHED_BATCH")
+    x = np.random.default_rng(9).normal(size=(300, 2))
+    calls = []
+
+    def spy(pid, policy, param):
+        calls.append(policy)
+        _SET_POLICY(pid, policy, param)
+
+    def exchange_from_start_policy():
+        # a worker thread of its own, so no other thread's policy changes
+        _SET_POLICY(0, getattr(os, start), os.sched_param(0))
+        monkeypatch.setattr(os, "sched_setscheduler", spy)
+        return box.evaluate_batch(x), os.sched_getscheduler(0)
+
+    with external_blackbox(echo_first_command, dimension=2) as box:
+        got, after = _run_bounded(box, exchange_from_start_policy)
+    assert after == getattr(os, start)
+    assert calls == [getattr(os, name) for name in switches]
+    np.testing.assert_array_equal(got, x[:, 0])
+
+
+def test_exchange_runs_where_the_policy_cannot_be_set(echo_first_command, monkeypatch):
+    def refuse(*args):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+    x = np.random.default_rng(10).normal(size=(3000, 2))
+    with external_blackbox(echo_first_command, dimension=2) as box:
+        got = _run_bounded(box, lambda: box.evaluate_batch(x))
+        assert box.evaluate([2.5, 0.0]) == 2.5
+    np.testing.assert_array_equal(got, x[:, 0])
