@@ -31,10 +31,10 @@ the defaults shown)::
         "n_particles": 1000, "rho": 0.25, "mutation_steps": 5,
         "final_sample_size": 3000, "final_mh_steps": 5,
         "kernel": {"type": "crank_nicolson", "a": 0.5}
-                  or {"type": "random_walk", "step_sds": [...] or "match_input"},
+                  or {"type": "random_walk", "step_sds": "match_input"},
                                                    # both act on the latent standard
-                                                   # normals; step_sds are in latent
-                                                   # units, and match_input means 1
+                                                   # normals; the random walk starts at
+                                                   # one latent sd, step_sds is optional
         "max_levels": 100                          # optional
       },
       "density": {                                 # optional
@@ -48,12 +48,9 @@ the defaults shown)::
       "seed": 0
     }
 
-Any key the grammar does not name is a finding, and so are the retired
-``indices.n_draws`` and ``indices.eta_method``: every index is
-integrated on the fitted densities' quadrature grids, so there are no
-index draws to size and no second method to choose.  So is any number
-that is not finite: ``json`` reads ``NaN`` and ``Infinity``, and an
-integer beyond the float range counts as infinite.
+Any key the grammar does not name is a finding.  So is any number that
+is not finite: ``json`` reads ``NaN`` and ``Infinity``, and an integer
+beyond the float range counts as infinite.
 
 Replication ``r`` draws its splitting seed from the stream keyed
 ``(REPLICATION, r)`` under the master seed; the indices are deterministic
@@ -100,14 +97,6 @@ FAMILY_ORDER = ("delta_f", "eta_bar", "eta", "sobol_indicator")
 _DIVERGENCES = {
     "total_variation": DivergenceSpec.total_variation,
     "kullback_leibler": DivergenceSpec.kullback_leibler,
-}
-
-_RETIRED_INDEX_KEYS = {
-    "n_draws": "indices.n_draws is retired: every index is integrated on the "
-               "fitted densities' quadrature grids, so there are no Monte Carlo "
-               "draws to size",
-    "eta_method": "indices.eta_method is retired: eta_bar is integrated on the "
-                  "fitted density's quadrature grid for every divergence",
 }
 
 
@@ -347,7 +336,7 @@ def _parse_model(raw, findings):
     return None, tuple(command), dim
 
 
-def _parse_kernel(sec, input_model, findings):
+def _parse_kernel(sec, findings):
     entry = sec.get("kernel")
     if not isinstance(entry, dict):
         findings.append("smc.kernel required (an object with a 'type' field)")
@@ -366,34 +355,16 @@ def _parse_kernel(sec, input_model, findings):
     if kind == "random_walk":
         _check_keys(entry, "smc.kernel", ("type", "step_sds"), findings)
         sds = entry.get("step_sds", "match_input")
-        if sds == "match_input":
-            if input_model is None:
-                return None
-            return GaussianRandomWalkKernel((1.0,) * input_model.dimension)
-        if not isinstance(sds, list) or not sds:
-            findings.append("smc.kernel.step_sds must be 'match_input' or a list")
+        if sds != "match_input":
+            findings.append(f"smc.kernel.step_sds must be 'match_input', got {sds!r}")
             return None
-        if input_model is not None and len(sds) != input_model.dimension:
-            findings.append(f"smc.kernel.step_sds must list one value per input "
-                            f"({input_model.dimension}), got {len(sds)}")
-            return None
-        if not all(_is_number(s) for s in sds):
-            findings.append(f"smc.kernel.step_sds must be a list of numbers, got {sds!r}")
-            return None
-        if not all(_finite(s) for s in sds):
-            findings.append(f"smc.kernel.step_sds must be finite, got {sds}")
-            return None
-        try:
-            return GaussianRandomWalkKernel(tuple(float(s) for s in sds))
-        except ValueError as exc:
-            findings.append(f"smc.kernel.step_sds: {exc}")
-            return None
+        return GaussianRandomWalkKernel()
     findings.append(f"smc.kernel.type must be 'crank_nicolson' or 'random_walk', "
                     f"got {kind!r}")
     return None
 
 
-def _parse_smc(raw, input_model, findings):
+def _parse_smc(raw, findings):
     sec = _get_section(raw, "smc", findings)
     if sec is None:
         return None
@@ -412,7 +383,7 @@ def _parse_smc(raw, input_model, findings):
                            integer=True, minimum=0)
     max_levels = _get_number(sec, "smc.max_levels", findings, required=False,
                              default=100, integer=True, minimum=1)
-    kernel = _parse_kernel(sec, input_model, findings)
+    kernel = _parse_kernel(sec, findings)
     if None in (n_particles, rho, mutation_steps, final_n, final_mh, kernel):
         return None
     try:
@@ -487,7 +458,7 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
         threshold = _get_number(event_sec, "event.threshold", findings)
         event = None if threshold is None else FailureEvent(threshold)
 
-    smc = _parse_smc(raw, input_model, findings)
+    smc = _parse_smc(raw, findings)
 
     dens = _get_section(raw, "density", findings, required=False)
     _check_keys(dens or {}, "density", ("marginal_exponents", "copula_exponents"), findings)
@@ -495,8 +466,7 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
     copula_exponents = _parse_exponents(dens, "density.copula_exponents", findings)
 
     idx = _get_section(raw, "indices", findings, required=False) or {}
-    findings.extend(_RETIRED_INDEX_KEYS[key] for key in idx if key in _RETIRED_INDEX_KEYS)
-    _check_keys(idx, "indices", ("divergence", *_RETIRED_INDEX_KEYS), findings)
+    _check_keys(idx, "indices", ("divergence",), findings)
     divergence = idx.get("divergence", "total_variation")
     if not isinstance(divergence, str) or divergence not in _DIVERGENCES:
         findings.append(f"indices.divergence must be one of "

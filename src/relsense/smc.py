@@ -5,7 +5,8 @@ is a vector ``u`` of independent standard normals, and the black box is
 evaluated at the input ``x = T(u)`` of :meth:`InputModel.from_latent`.
 The input law is then the same standard normal whatever the marginals
 and the copula, so both proposals need nothing of the input model but
-``T``: the random walk's density ratio is ``exp((|u|**2 - |u'|**2) / 2)``
+``T``: the random walk proposes ``u + step z``, one latent ``step`` for
+every coordinate, with density ratio ``exp((|u|**2 - |u'|**2) / 2)``,
 and Crank-Nicolson proposes ``sqrt(1 - a) u + sqrt(a) z``.
 
 The probability phase tracks a cloud of ``n_particles`` inputs through an
@@ -96,20 +97,18 @@ class CrankNicolsonKernel:
 class GaussianRandomWalkKernel:
     """Symmetric random-walk proposal in latent coordinates.
 
-    A candidate adds centered Gaussian noise with per-coordinate standard
-    deviations ``step_sds`` (latent units, so ``1`` is one standard
-    deviation of every input) to ``u``; the acceptance rule uses the
+    A candidate adds centered Gaussian noise of standard deviation
+    ``step`` to every coordinate of ``u`` (latent units, so ``1`` is one
+    standard deviation of every input); the acceptance rule uses the
     latent density ratio ``exp((|u|**2 - |u'|**2) / 2)`` times the level
     indicator.
     """
 
-    step_sds: tuple[float, ...]
+    step: float = 1.0
 
     def __post_init__(self):
-        sds = tuple(float(s) for s in np.atleast_1d(np.asarray(self.step_sds, dtype=float)))
-        object.__setattr__(self, "step_sds", sds)
-        if any(not np.isfinite(s) or s <= 0 for s in sds):
-            raise ValueError("step_sds must all be strictly positive")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and strictly positive, got {self.step}")
 
 
 Kernel = CrankNicolsonKernel | GaussianRandomWalkKernel
@@ -120,14 +119,14 @@ def adapt_kernel(kernel: Kernel, rate: float) -> Kernel:
 
     One step of the per-level adaptation of Papaioannou, Betz, Zwirglmaier
     & Straub (2015): the step size (``sqrt(a)`` for Crank-Nicolson,
-    ``step_sds`` for the random walk) is multiplied by
+    ``step`` for the random walk) is multiplied by
     ``exp(rate - ACCEPTANCE_TARGET)``, so too many acceptances lengthen
     the steps and too few shorten them.
     """
     factor = math.exp(rate - ACCEPTANCE_TARGET)
     if isinstance(kernel, CrankNicolsonKernel):
         return CrankNicolsonKernel(min(kernel.a * factor * factor, _CN_MAX_A))
-    return GaussianRandomWalkKernel(tuple(sd * factor for sd in kernel.step_sds))
+    return GaussianRandomWalkKernel(kernel.step * factor)
 
 
 @dataclass(frozen=True)
@@ -210,19 +209,12 @@ def _outside_band(rate, trials):
             or rate > hi + 2.0 * math.sqrt(hi * (1.0 - hi) / trials))
 
 
-def _check_kernel(kernel: Kernel, dimension: int):
-    if isinstance(kernel, GaussianRandomWalkKernel) and len(kernel.step_sds) != dimension:
-        raise SmcError(f"step_sds has length {len(kernel.step_sds)} but the input has "
-                       f"dimension {dimension}")
-
-
 def _chain_sweep(u, y, gamma, steps, box, model, kernel, rng):
     """Advance every latent row of ``u`` by ``steps`` MH transitions
     targeting the standard normal law restricted to ``{M(T(u)) > gamma}``.
     Returns the moved rows, their outputs and the observed acceptance
     rate."""
     n, d = u.shape
-    _check_kernel(kernel, d)
     u, y = u.copy(), y.copy()
     accepted = 0
     cn = isinstance(kernel, CrankNicolsonKernel)
@@ -230,7 +222,6 @@ def _chain_sweep(u, y, gamma, steps, box, model, kernel, rng):
         keep, mix = math.sqrt(1.0 - kernel.a), math.sqrt(kernel.a)
         log_ratio = 0.0
     else:
-        sds = np.asarray(kernel.step_sds)
         half_sq = 0.5 * np.einsum("ij,ij->i", u, u)
     for _ in range(steps):
         z = rng.standard_normal((n, d))
@@ -238,7 +229,7 @@ def _chain_sweep(u, y, gamma, steps, box, model, kernel, rng):
         if cn:
             cand = keep * u + mix * z
         else:
-            cand = u + z * sds
+            cand = u + z * kernel.step
             cand_half_sq = 0.5 * np.einsum("ij,ij->i", cand, cand)
             log_ratio = half_sq - cand_half_sq
         y_cand = box.evaluate_batch(model.from_latent(cand))
@@ -298,7 +289,6 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
     if blackbox.dimension != input_model.dimension:
         raise ValueError("black box and input model disagree on the dimension")
     kernel = params.kernel
-    _check_kernel(kernel, input_model.dimension)
     n_x = params.n_particles
     s = event.threshold
     k_rank = math.ceil(params.rho * n_x)

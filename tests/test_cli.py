@@ -55,8 +55,8 @@ class TestValidate:
         code, out, err = run_cli(["validate", "--config", str(path)], capsys)
         assert code == 2
         assert out == ""
-        assert "config error: indices.n_draws is retired" in err
-        assert "config error: indices.eta_method is retired" in err
+        assert "config error: unknown key 'n_draws' in indices" in err
+        assert "config error: unknown key 'eta_method' in indices" in err
 
     def test_ragged_covariance_exits_2(self, tmp_path, capsys):
         raw = {"model": {"command": ["ext"], "dimension": 2},

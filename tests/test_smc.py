@@ -104,7 +104,7 @@ class TestCallAccounting:
         box, model, event = builtin_model("additive_chi2")
         params = SmcParams(n_particles=300, rho=0.5507, mutation_steps=3,
                            final_sample_size=600, final_mh_steps=3,
-                           kernel=GaussianRandomWalkKernel((1.0, 1.0)), seed=5)
+                           kernel=GaussianRandomWalkKernel(), seed=5)
         before = box.call_count
         result = run_adaptive_smc(box, model, event, params)
         n, m = params.n_particles, result.n_levels
@@ -112,7 +112,7 @@ class TestCallAccounting:
         assert result.calls_sampling_phase == 600 * 3
         assert box.call_count - before == result.calls_total
 
-    @pytest.mark.parametrize("kernel", [GaussianRandomWalkKernel((1.0, 1.0)),
+    @pytest.mark.parametrize("kernel", [GaussianRandomWalkKernel(),
                                         CrankNicolsonKernel(a=0.5)])
     def test_identity_with_bounded_inputs(self, kernel):
         # every latent candidate maps into the support, so even uniform
@@ -178,12 +178,6 @@ class TestMhStep:
         assert x1[0] == pytest.approx(0.4, abs=1e-3)
         assert x1[0] != 0.4
 
-    def test_step_sds_dimension_mismatch(self):
-        box, model, _ = builtin_model("toy1")
-        with pytest.raises(SmcError, match="length 3 but the input has"):
-            one_transition(np.array([0.0, 0.0]), -1.0, box, model,
-                           GaussianRandomWalkKernel((1.0, 1.0, 1.0)), stream(0, 0))
-
 
 class TestChainLaw:
     def test_random_walk_chain_targets_truncated_normal(self):
@@ -193,7 +187,7 @@ class TestChainLaw:
         survivors = np.array([[2.1], [2.5], [3.0]])
         x, y, rate = final_sampling(survivors, survivors[:, 0], box, model, event,
                                     n_sample=4000, n_steps=40,
-                                    kernel=GaussianRandomWalkKernel((1.0,)),
+                                    kernel=GaussianRandomWalkKernel(),
                                     rng=stream(11, 0))
         truncated_mean = stats.norm.pdf(2.0) / stats.norm.sf(2.0)
         assert y.min() > 2.0
@@ -225,7 +219,7 @@ class TestFinalSampling:
         survivors = np.array([[0.2], [0.8], [1.4], [2.0]])
         x, y, rate = final_sampling(survivors, survivors[:, 0], box, model, event,
                                     n_sample=50, n_steps=0,
-                                    kernel=GaussianRandomWalkKernel((1.0,)),
+                                    kernel=GaussianRandomWalkKernel(),
                                     rng=stream(13, 0))
         assert rate is None
         assert box.call_count == 0
@@ -242,7 +236,7 @@ class TestFinalSampling:
         with pytest.raises(SmcError, match="empty survivor set"):
             final_sampling(survivors, survivors[:, 0], box, model, event,
                            n_sample=10, n_steps=1,
-                           kernel=GaussianRandomWalkKernel((1.0,)), rng=stream(0, 0))
+                           kernel=GaussianRandomWalkKernel(), rng=stream(0, 0))
 
 
 class TestFailureModes:
@@ -267,7 +261,7 @@ class TestFailureModes:
         model = InputModel((Marginal("uniform", 0.0, 1.0),))
         params = SmcParams(n_particles=200, rho=0.3935, mutation_steps=3,
                            final_sample_size=10, final_mh_steps=1,
-                           kernel=GaussianRandomWalkKernel((1e6,)), seed=0)
+                           kernel=GaussianRandomWalkKernel(1e6), seed=0)
         with pytest.raises(SmcError, match="acceptance collapsed to zero"):
             run_adaptive_smc(box, model, FailureEvent(2.0), params)
 
@@ -301,17 +295,21 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="lie in \\(0, 1\\)"):
             CrankNicolsonKernel(a=1.0)
         with pytest.raises(ValueError, match="strictly positive"):
-            GaussianRandomWalkKernel((1.0, -0.5))
+            GaussianRandomWalkKernel(-0.5)
+        with pytest.raises(ValueError, match="strictly positive"):
+            GaussianRandomWalkKernel(math.inf)
 
-    def test_matching_input_sds(self):
+    @pytest.mark.parametrize("kernel", [{"type": "random_walk", "step_sds": "match_input"},
+                                        {"type": "random_walk"}],
+                             ids=["match_input", "step_sds_left_out"])
+    def test_matching_input_sds(self, kernel):
         # latent steps of one standard deviation of every input
         config = parse_config({
             "model": {"builtin": "toy1"},
             "smc": {"n_particles": 100, "rho": 0.5, "mutation_steps": 1,
-                    "final_sample_size": 10, "final_mh_steps": 1,
-                    "kernel": {"type": "random_walk", "step_sds": "match_input"}},
+                    "final_sample_size": 10, "final_mh_steps": 1, "kernel": kernel},
             "replications": 1})
-        assert config.smc.kernel.step_sds == (1.0, 1.0)
+        assert config.smc.kernel == GaussianRandomWalkKernel(1.0)
 
     def test_params_bounds(self):
         kernel = CrankNicolsonKernel(a=0.5)
@@ -340,13 +338,11 @@ class TestKernelAdaptation:
         kernel = CrankNicolsonKernel(a=0.9)
         assert adapt_kernel(kernel, 1.0).a < 1.0
 
-    def test_random_walk_scales_every_step(self):
-        kernel = GaussianRandomWalkKernel((1.0, 2.0))
-        wider = adapt_kernel(kernel, 0.9)
-        factor = wider.step_sds[0] / 1.0
-        assert factor > 1.0
-        assert wider.step_sds[1] == pytest.approx(2.0 * factor)
-        assert all(s < t for s, t in zip(adapt_kernel(kernel, 0.0).step_sds, (1.0, 2.0)))
+    def test_random_walk_step_follows_the_rate(self):
+        kernel = GaussianRandomWalkKernel(2.0)
+        assert adapt_kernel(kernel, 0.9).step > 2.0
+        assert adapt_kernel(kernel, 0.0).step < 2.0
+        assert adapt_kernel(kernel, 0.35).step == 2.0
 
 
 # One oscillator run with the latent random-walk kernel, recorded when the
@@ -379,7 +375,7 @@ class TestGoldenTrajectory:
         box, model, event = builtin_model("sdof_oscillator")
         params = SmcParams(n_particles=100, rho=0.5, mutation_steps=3,
                            final_sample_size=100, final_mh_steps=2,
-                           kernel=GaussianRandomWalkKernel((1.0,) * 6),
+                           kernel=GaussianRandomWalkKernel(),
                            max_levels=200, seed=11)
         result = run_adaptive_smc(box, model, event, params)
         assert result.p_f_hat == 6.0870811956618305e-19
