@@ -570,8 +570,9 @@ def run_replication(config: CampaignConfig, rep: int,
     for i in range(d):
         marginal = config.input_model.marginals[i]
         pair = np.column_stack([sample[:, i], outputs])
-        density = fit_density(sample[:, i], config.marginal_exponents)
-        copula = fit_copula(pair, config.copula_exponents)
+        density = fit_density(sample[:, i], config.marginal_exponents,
+                              sample_size=result.n_survivors)
+        copula = fit_copula(pair, config.copula_exponents, sample_size=result.n_survivors)
 
         delta_f = delta_index(copula, divergence)
         eta_bar = csiszar_marginal_index(density, marginal, divergence)

@@ -76,7 +76,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
@@ -134,7 +134,9 @@ class MomentConstraints:
     means of ``z**beta``.  For ``ndim == 2`` the exponents are ``(a, b)``
     pairs on the unit square and the targets are means of
     ``u**a * v**b``; a zero exponent drops that coordinate, so ``(a, 0)``
-    is a margin feature.
+    is a margin feature.  ``sample_size`` is the ``n`` of the fit's BIC
+    and of its drift rule: the row count, or fewer when the rows are not
+    independent (see :func:`fit_density`).
     """
 
     ndim: int
@@ -953,31 +955,49 @@ def _select(ladder, fit):
     return best
 
 
-def fit_density(sample, exponents=None) -> MaxEntDensity:
+def _sized(constraints, sample_size):
+    """The constraints with ``sample_size`` as their ``n``, clamped to the
+    row count; ``None`` keeps the row count."""
+    if sample_size is None:
+        return constraints
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
+    return replace(constraints, sample_size=min(constraints.sample_size, sample_size))
+
+
+def fit_density(sample, exponents=None, sample_size=None) -> MaxEntDensity:
     """Maximum-entropy density of a 1-D sample on the sample's range.
 
     With ``None`` every set of :data:`MARGINAL_LADDER` is fitted and the
     one with the smallest BIC wins; an explicit ``exponents`` set is the
     only rung of its ladder, so the fit uses exactly that set.
+
+    ``sample_size`` is the number of independent units behind the rows,
+    BIC's ``n`` (Kass & Raftery, JASA 1995), clamped to the row count,
+    which is its default.  Rows grown by Markov chains from a few hundred
+    seeds are fewer units than rows, and counting each row charges too
+    little per feature, so a rich rung can win by fitting the clumps.
     """
     def fit(exps):
-        cons = fractional_moments_1d(sample, exps)
+        cons = _sized(fractional_moments_1d(sample, exps), sample_size)
         density = solve_maxent(cons)
         return density, _bic(cons, density), 0.0
 
     return _select(MARGINAL_LADDER if exponents is None else (exponents,), fit)
 
 
-def fit_copula(sample_xy, exponents=None) -> MaxEntCopula:
+def fit_copula(sample_xy, exponents=None, sample_size=None) -> MaxEntCopula:
     """Maximum-entropy copula of a bivariate sample's ranks.
 
     With ``None`` every set of :data:`COPULA_LADDER` is fitted and the one
     with the smallest BIC among the fits the quadrature grid resolves well
     enough to rank wins (see :func:`_select`); an explicit ``exponents``
-    set is a ladder of one rung, judged by the same rule.
+    set is a ladder of one rung, judged by the same rule.  ``sample_size``
+    is BIC's ``n``, as for :func:`fit_density`; the quadrature error
+    is judged as ``n`` times the drift of ``log Z``.
     """
     def fit(exps):
-        cons = copula_fractional_moments(sample_xy, exps)
+        cons = _sized(copula_fractional_moments(sample_xy, exps), sample_size)
         copula, drift = _solve_copula(cons)
         return copula, _bic(cons, copula), cons.sample_size * drift
 

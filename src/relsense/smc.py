@@ -176,12 +176,16 @@ class SmcResult:
 
     ``levels`` holds every adaptive threshold in order; the last one
     exceeds the failure threshold, and ``n_levels`` counts the mutation
-    phases actually performed (``len(levels) - 1``).
+    phases actually performed (``len(levels) - 1``).  ``n_survivors``
+    counts the last cloud's particles above the failure threshold, the
+    seeds that every chain of the conditioned sample grows from; it is
+    the numerator of ``p_f_hat``'s last survival fraction.
     """
 
     conditioned_sample: np.ndarray
     conditioned_outputs: np.ndarray
     p_f_hat: float
+    n_survivors: int
     levels: tuple[float, ...]
     n_levels: int
     calls_probability_phase: int
@@ -343,7 +347,8 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
             f"by more than two standard errors of {trials} proposals "
             f"(worst {worst:.3f}); consider retuning the kernel", stacklevel=2)
 
-    p_f_hat = float(np.prod(fractions) * (np.count_nonzero(y > s) / n_x))
+    n_survivors = int(np.count_nonzero(y > s))
+    p_f_hat = float(np.prod(fractions) * (n_survivors / n_x))
 
     cs, co, final_rate = final_sampling(u, y, blackbox, input_model, event,
                                         params.final_sample_size, params.final_mh_steps,
@@ -351,6 +356,7 @@ def run_adaptive_smc(blackbox: BlackBox, input_model: InputModel,
     calls_sampling = blackbox.call_count - calls_before - calls_probability
 
     return SmcResult(conditioned_sample=cs, conditioned_outputs=co, p_f_hat=p_f_hat,
+                     n_survivors=n_survivors,
                      levels=tuple(levels), n_levels=n_levels,
                      calls_probability_phase=int(calls_probability),
                      calls_sampling_phase=int(calls_sampling),

@@ -28,7 +28,8 @@ from relsense.campaign import (
     write_outputs,
 )
 from relsense.model import BUILTIN_NAMES
-from relsense.smc import CrankNicolsonKernel, GaussianRandomWalkKernel
+from relsense.smc import (CrankNicolsonKernel, GaussianRandomWalkKernel,
+                          run_adaptive_smc)
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -482,6 +483,25 @@ class TestRunReplication:
         assert record["calls_counter"] == (record["calls_probability"]
                                            + record["calls_sampling"])
         assert 0.0 < record["p_f_hat"] < 1.0
+
+    def test_fits_count_the_final_survivors(self, small_toy1_config, monkeypatch):
+        results, sizes = [], []
+
+        def recorded(fn, into):
+            def wrapper(*args, **kwargs):
+                into.append(kwargs["sample_size"])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(campaign, "run_adaptive_smc",
+                            lambda *args: results.append(run_adaptive_smc(*args))
+                            or results[-1])
+        monkeypatch.setattr(campaign, "fit_density", recorded(campaign.fit_density, sizes))
+        monkeypatch.setattr(campaign, "fit_copula", recorded(campaign.fit_copula, sizes))
+        run_replication(parse_config(small_toy1_config), 0)
+        (result,) = results
+        assert sizes == [result.n_survivors] * 4
+        assert result.n_survivors < len(result.conditioned_sample)
 
     def test_eta_is_scaled_eta_bar(self, small_toy1_config):
         config = parse_config(small_toy1_config)

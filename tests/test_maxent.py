@@ -440,6 +440,50 @@ class TestExponentLadder:
             assert got == pytest.approx(rank_moment, abs=1e-5)
 
 
+def assert_same_fit(a, b):
+    assert a.exponents == b.exponents
+    np.testing.assert_array_equal(a.multipliers, b.multipliers)
+    assert a.log_normalizer == b.log_normalizer
+
+
+def dependent_pair(seed, n=1000):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 2))
+    return np.column_stack([z[:, 0], z[:, 0] + 0.3 * z[:, 1]])
+
+
+class TestSampleSize:
+    """BIC's ``n`` travels in the constraints of each fit: a campaign
+    passes its survivor count, and every other caller gets the row count."""
+
+    def test_row_count_or_more_is_the_default_fit(self):
+        xy = dependent_pair(23)
+        density, copula = fit_density(xy[:, 1]), fit_copula(xy)
+        for size in (len(xy), 10 * len(xy)):
+            assert_same_fit(fit_density(xy[:, 1], sample_size=size), density)
+            assert_same_fit(fit_copula(xy, sample_size=size), copula)
+
+    def test_fewer_units_choose_a_sparser_rung(self):
+        xy = dependent_pair(22, n=3000)
+        rich = fit_copula(xy)
+        sparse = fit_copula(xy, sample_size=300)
+        assert len(sparse.exponents) < len(rich.exponents)
+
+    def test_sample_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="sample_size must be at least 1"):
+            fit_density(dependent_pair(23)[:, 0], sample_size=0)
+
+    def test_a_campaign_leaves_later_fits_unchanged(self, small_toy1_config):
+        # the survivor count of a replication must not reach i.i.d. fits
+        # that run after it in the same process
+        xy = dependent_pair(24)
+        before = fit_density(xy[:, 1]), fit_copula(xy)
+        run_replication(parse_config(small_toy1_config), 0)
+        after = fit_density(xy[:, 1]), fit_copula(xy)
+        for a, b in zip(before, after):
+            assert_same_fit(a, b)
+
+
 # Each rung of COPULA_LADDER on toy1_pair(which), as solved by the dense
 # whitened Newton solver this one replaced: delta_index, log normalizer
 # and BIC, and the rung (feature count) the ladder picks.  NEWTON_STEPS

@@ -65,10 +65,20 @@ class TestEstimate:
         result = run_adaptive_smc(box, model, event, params)
         assert result.n_levels == 0
         assert len(result.levels) == 1
+        assert result.p_f_hat == result.n_survivors / 2000
         assert result.acceptance_rates == ()
         assert result.calls_probability_phase == 2000
         # the estimate is then the crude Monte Carlo fraction
         assert result.p_f_hat == pytest.approx(stats.norm.cdf(1.0), abs=0.035)
+
+    def test_survivors_seed_the_conditioned_sample(self):
+        box, model, event = builtin_model("toy1")
+        params = toy1_params(final_mh_steps=0)
+        result = run_adaptive_smc(box, model, event, params)
+        # unmoved, every conditioned row is a copy of one final survivor
+        distinct = np.unique(result.conditioned_sample, axis=0).shape[0]
+        assert 1 <= distinct <= result.n_survivors <= params.n_particles
+        assert result.p_f_hat <= result.n_survivors / params.n_particles
 
     def test_levels_strictly_increase_and_clear_threshold(self):
         box, model, event = builtin_model("toy1")
