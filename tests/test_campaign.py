@@ -487,17 +487,19 @@ class TestRunReplication:
     def test_fits_count_the_final_survivors(self, small_toy1_config, monkeypatch):
         results, sizes = [], []
 
-        def recorded(fn, into):
-            def wrapper(*args, **kwargs):
-                into.append(kwargs["sample_size"])
-                return fn(*args, **kwargs)
+        def splitting(*args):
+            results.append(run_adaptive_smc(*args))
+            return results[-1]
+
+        def recorded(fit):
+            def wrapper(*args, sample_size):
+                sizes.append(sample_size)
+                return fit(*args, sample_size=sample_size)
             return wrapper
 
-        monkeypatch.setattr(campaign, "run_adaptive_smc",
-                            lambda *args: results.append(run_adaptive_smc(*args))
-                            or results[-1])
-        monkeypatch.setattr(campaign, "fit_density", recorded(campaign.fit_density, sizes))
-        monkeypatch.setattr(campaign, "fit_copula", recorded(campaign.fit_copula, sizes))
+        monkeypatch.setattr(campaign, "run_adaptive_smc", splitting)
+        monkeypatch.setattr(campaign, "fit_density", recorded(campaign.fit_density))
+        monkeypatch.setattr(campaign, "fit_copula", recorded(campaign.fit_copula))
         run_replication(parse_config(small_toy1_config), 0)
         (result,) = results
         assert sizes == [result.n_survivors] * 4
