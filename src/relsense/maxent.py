@@ -69,6 +69,20 @@ each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
 explicit exponent set is a ladder of one rung, judged by the same
 resolution rule.  A copula is fitted only by :func:`fit_copula`;
 :func:`solve_maxent` solves 1-D constraints alone.
+
+A rung that provably loses is not solved.  Once a ranked fit exists, a
+rung whose features hold those of the rung before it is first certified
+(:func:`_certify`).  Newton iterates start from the earlier rung's
+multipliers, with zeros on the new features, and share their step with
+:func:`_newton`.  At each iterate the grid density is tilted toward the
+rung's moment targets (:func:`_feasible_entropy`).  Its entropy, less a
+charge for the targets it still misses, bounds from below the dual at any multipliers a solve can
+return (weak duality), and so the BIC the rung would report.  When that
+bound exceeds the best ranked BIC by more than one, the rung is
+skipped: it could never be chosen, and nothing else is read from it.
+Otherwise the rung is solved from zero, as every rung was before.  So
+each fit, chosen rung and warning is the one that solving every rung
+gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -99,10 +113,14 @@ __all__ = [
 SHIFT_EPS = 1e-6
 DEFAULT_EXPONENTS = (0.5, 1.0, 1.5)
 
-# Newton limits of every solve; axis points of the copula and drift grids,
-# and the rows of the drift grid summed at once (a 64 KiB panel; it must
-# divide the drift axis).
-_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-6, 200
+# Newton limits of every solve, and the whitened multiplier norm past which
+# the dual counts as diverging (so no solve returns a larger one); axis
+# points of the copula and drift grids, and the rows of the drift grid
+# summed at once (a 64 KiB panel; it must divide the drift axis).
+_NEWTON_TOL, _NEWTON_MAX_ITER, _MAX_MULTIPLIER = 1e-6, 200, 1e10
+# Tilts toward the moment targets per iterate of a certificate (see
+# _feasible_entropy); in a toy1 campaign an iterate rarely needs over five.
+_TILTS = 8
 _COPULA_AXIS, _DRIFT_AXIS, _DRIFT_PANEL = 128, 256, 32
 
 # Candidate exponent sets, from sparse to rich, searched by BIC when a fit
@@ -244,10 +262,14 @@ def copula_fractional_moments(sample_xy, exponents=DEFAULT_EXPONENTS) -> MomentC
     v = _average_ranks(xy[:, 1]) / n
     margins = tuple((e, 0.0) for e in exps) + tuple((0.0, e) for e in exps)
     pairs = margins + tuple((r, s) for r in exps for s in exps)
-    # each axis power once: pu[r] * pv[s] is u ** r * v ** s, bit for bit
-    pu = {e: u ** e for e in (0.0, *exps)}
+    # each axis power once, and one power of u held at a time: pu * pv[s]
+    # is u ** r * v ** s, bit for bit
     pv = {e: v ** e for e in (0.0, *exps)}
-    targets = np.array([np.mean(pu[r] * pv[s]) for r, s in pairs])
+    means = {}
+    for r in pv:
+        pu = u ** r
+        means.update(((r, s), np.mean(pu * pv[s])) for s in pv if r or s)
+    targets = np.array([means[pair] for pair in pairs])
     return MomentConstraints(ndim=2, exponents=pairs, targets=targets,
                              support=((0.0, 1.0), (0.0, 1.0)), sample_size=n)
 
@@ -778,6 +800,69 @@ def _drift_log_partition(exponents, coef):
     return float(m + math.log(total))
 
 
+def _descent(hess, grad):
+    """The Newton step ``-(hess + ridge I)^{-1} grad`` of one iterate and
+    its slope ``grad . step``; the ridge is zero unless the Hessian fails
+    to factor, and then grows tenfold until it does.
+
+    Each ridge attempt is one :func:`numpy.linalg.cholesky`, which
+    raises :class:`numpy.linalg.LinAlgError` when the ridged Hessian is
+    not positive definite; the step is then one
+    :func:`numpy.linalg.solve` with that matrix, and the factor itself is
+    not used."""
+    eye = np.eye(grad.shape[0])
+    ridge = 0.0
+    while True:
+        ridged = hess + ridge * eye
+        try:
+            cholesky(ridged)
+            break
+        except LinAlgError:  # a leading minor is not positive definite
+            pass
+        # the trace-relative floor alone can stall at zero when the
+        # dual iterate collapses the density onto a single node (all a
+        # zero Hessian means on a real grid); the absolute floor carries
+        # that on to the divergence test, which names it infeasible
+        ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
+        if ridge > 1e6:
+            raise MaxEntError("dual Hessian is numerically singular")
+    step = -np.linalg.solve(ridged, grad)
+    slope = float(grad @ step)
+    if not slope < 0.0:
+        raise MaxEntError("Newton step is not a descent direction; the dual "
+                          "Hessian is numerically singular")
+    return step, slope
+
+
+def _line_search(family, mu_g, lam, obj, step, slope):
+    """Backtracking (Armijo) search along ``step`` from the whitened
+    multipliers ``lam``, whose dual objective is ``obj``.
+
+    Returns ``(lam, m, qw, z)`` of the accepted candidate, its weighted
+    exponentials ``qw`` shifted by ``m`` (:func:`_weighted_exp`) and their
+    sum ``z``, or ``None`` when 60 halvings find no sufficient decrease."""
+    t = 1.0
+    for _ in range(60):
+        cand = lam + t * step
+        cand_m, cand_qw = _weighted_exp(family.whitened_log_q(cand), family.weights)
+        cand_z = float(np.sum(cand_qw))
+        cand_obj = float(cand @ mu_g + (cand_m + math.log(cand_z)))
+        if cand_obj <= obj + 1e-4 * t * slope:
+            return cand, cand_m, cand_qw, cand_z
+        t *= 0.5
+    return None
+
+
+def _whitened_targets(targets, family):
+    """The moment targets in the whitened basis of ``family``."""
+    return _solve_upper(family.r, targets / family.scale - family.center, trans=1)
+
+
+def _original(lam, family):
+    """Multipliers of the original features from whitened ones."""
+    return _solve_upper(family.r, lam, trans=0) / family.scale
+
+
 def _newton(targets, family, tol, max_iter):
     """Damped Newton on the dual; returns (multipliers, log Z, iterations).
 
@@ -793,12 +878,10 @@ def _newton(targets, family, tol, max_iter):
     Convergence is judged on the moments of the original features,
     ``r.T @ grad``, and the multipliers are returned in that basis.
 
-    Each ridge attempt is one :func:`numpy.linalg.cholesky`, which
-    raises :class:`numpy.linalg.LinAlgError` when the ridged Hessian is
-    not positive definite; the step is then one
-    :func:`numpy.linalg.solve` with that matrix, and the factor itself is
-    not used.  The weighted exponentials of an accepted line-search
-    candidate are those of the next iterate, so they are carried over.
+    Each step is one :func:`_descent` and one :func:`_line_search`, which
+    :func:`_certify` shares.  The weighted exponentials of an accepted
+    line-search candidate are those of the next iterate, so they are
+    carried over.
 
     Near the optimum of a badly scaled rung (``z**6`` on ``[3, 6.5]`` has
     a ``scale`` of 7e4) the scaled test can stay out of reach while the
@@ -812,16 +895,14 @@ def _newton(targets, family, tol, max_iter):
     Wright, *Numerical Optimization*, 2006, on line-search termination
     at machine precision).
     """
-    scale, center, r, w = family.scale, family.center, family.r, family.weights
-    mu_s = targets / scale
-    mu_g = _solve_upper(r, mu_s - center, trans=1)
+    scale, r = family.scale, family.r
+    mu_g = _whitened_targets(targets, family)
     lam = np.zeros(targets.shape[0])
-    eye = np.eye(lam.shape[0])
-    mstar, qw = _weighted_exp(family.whitened_log_q(lam), w)
+    mstar, qw = _weighted_exp(family.whitened_log_q(lam), family.weights)
     z = float(np.sum(qw))
 
     def result(lam, it):
-        lam_orig = _solve_upper(r, lam, trans=0) / scale
+        lam_orig = _original(lam, family)
         return lam_orig, family.log_partition(lam_orig), it
 
     rounded = None  # (multipliers, iteration) of the last iterate converged to rounding
@@ -836,46 +917,19 @@ def _newton(targets, family, tol, max_iter):
         if _norm(grad_s * scale) <= tol and _norm(grad_s) <= tol:
             return result(lam, it)
         obj = float(lam @ mu_g + mstar + math.log(z))
-        ridge = 0.0
-        while True:
-            ridged = hess + ridge * eye
-            try:
-                cholesky(ridged)
-                break
-            except LinAlgError:  # a leading minor is not positive definite
-                pass
-            # the trace-relative floor alone can stall at zero when the
-            # dual iterate collapses the density onto a single node (all a
-            # zero Hessian means on a real grid); the absolute floor carries
-            # that on to the divergence test, which names it infeasible
-            ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
-            if ridge > 1e6:
-                raise MaxEntError("dual Hessian is numerically singular")
-        step = -np.linalg.solve(ridged, grad)
-        slope = float(grad @ step)
-        if not slope < 0.0:
-            raise MaxEntError("Newton step is not a descent direction; the dual "
-                              "Hessian is numerically singular")
+        step, slope = _descent(hess, grad)
         at_rounding = (_norm(grad) <= tol and _norm(grad_s) <= tol
                        and -slope <= 1e-13 * max(1.0, abs(obj)))
         if at_rounding:
             rounded = lam, it
-        t = 1.0
-        for _ in range(60):
-            cand = lam + t * step
-            cand_m, cand_qw = _weighted_exp(family.whitened_log_q(cand), w)
-            cand_z = float(np.sum(cand_qw))
-            cand_obj = float(cand @ mu_g + (cand_m + math.log(cand_z)))
-            if cand_obj <= obj + 1e-4 * t * slope:
-                lam, mstar, qw, z = cand, cand_m, cand_qw, cand_z
-                break
-            t *= 0.5
-        else:
+        moved = _line_search(family, mu_g, lam, obj, step, slope)
+        if moved is None:
             if at_rounding:
                 return result(lam, it)
             raise MaxEntError("line search failed; the dual may be flat or the "
                               "constraints near the feasibility boundary")
-        if _norm(lam) > 1e10:
+        lam, mstar, qw, z = moved
+        if _norm(lam) > _MAX_MULTIPLIER:
             raise InfeasibleConstraintsError("dual multipliers diverging; no density on "
                                              "the support matches the moment targets")
     if rounded is not None:
@@ -909,8 +963,12 @@ def solve_maxent(constraints: MomentConstraints) -> MaxEntDensity:
     if constraints.ndim != 1:
         raise ValueError("solve_maxent fits 1-D constraints only; fit a copula "
                          "with fit_copula")
-    lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
-                            _NEWTON_TOL, _NEWTON_MAX_ITER)
+    return _solve_density(constraints, _density_family(constraints))
+
+
+def _solve_density(constraints, family):
+    """The 1-D solve of :func:`solve_maxent` on the family of ``constraints``."""
+    lam, log_z, _ = _newton(constraints.targets, family, _NEWTON_TOL, _NEWTON_MAX_ITER)
     return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
                          log_normalizer=-log_z,
                          support_shifted=constraints.support, shift=constraints.shift)
@@ -919,30 +977,165 @@ def solve_maxent(constraints: MomentConstraints) -> MaxEntDensity:
 def _bic(constraints: MomentConstraints, fitted) -> float:
     """BIC of a fit.  The targets are sample means of the features, so the
     log-likelihood of the sample is exactly ``n * (log c - lam . targets)``
-    and costs nothing extra."""
+    and costs nothing extra: the BIC is ``2 n D(lam) + k log n`` with
+    ``D`` the dual objective at the fitted multipliers."""
     n = constraints.sample_size
     loglik = n * (fitted.log_normalizer - float(fitted.multipliers @ constraints.targets))
     return -2.0 * loglik + len(constraints.exponents) * math.log(n)
 
 
-def _select(ladder, fit):
+def _nested_start(last, constraints):
+    """Multipliers of the features of ``constraints``: those of the rung
+    ``last = (constraints, multipliers)`` on its own features and zero on
+    the new ones, or ``None`` unless every feature of that rung is one of
+    these, on the same shift (so on the same support)."""
+    if last is None:
+        return None
+    prev, lam = last
+    pos = {e: i for i, e in enumerate(constraints.exponents)}
+    if prev.shift != constraints.shift or not all(e in pos for e in prev.exponents):
+        return None
+    start = np.zeros(len(pos))
+    start[[pos[e] for e in prev.exponents]] = lam
+    return start
+
+
+def _feasible_entropy(family, mu_g, q, mom, step, negligible):
+    """Entropy ``H(q) = -sum q log(q / w)`` of grid probabilities ``q``
+    after tilting them in place toward the whitened targets ``mu_g``, and
+    the distance ``|mu_g - E_q psi|`` the tilts leave.
+
+    ``mom`` is the mean of the whitened features ``psi`` under ``q``, and
+    ``step`` is the Newton step ``-Cov_q(psi)^{-1} (mu_g - mom)``
+    (:func:`_descent`).  A tilt replaces
+    ``q`` by ``q (1 + t)_+``, normalized, with ``t = -(psi - mom) .
+    step``: the moments are linear in ``q``, so without the clip at zero
+    the tilted means are ``mu_g`` to rounding.  Where the clip bites they
+    are not, and the tilt is repeated from the new ``q`` with its own
+    Newton step, while the distance at least halves and is above
+    ``negligible``, at most ``_TILTS`` times.  ``1 + t`` takes one grid
+    array besides ``q``, and so does ``log(q / w)`` after it."""
+    res = _norm(mu_g - mom)
+    for _ in range(_TILTS):
+        u = family.whitened_log_q(step)  # -psi . step on the grid
+        u += 1.0 + float(mom @ step)
+        np.maximum(u, 0.0, out=u)
+        np.multiply(q, u, out=q)
+        del u
+        q /= float(np.sum(q))
+        mom, cov = family.moments(q)
+        last, res = res, _norm(mu_g - mom)
+        if res <= negligible or not res < 0.5 * last:
+            break
+        step, _ = _descent(cov, mu_g - mom)
+    log_ratio = np.divide(q, family.weights)
+    np.maximum(log_ratio, 1e-300, out=log_ratio)  # where q is 0, q log(q / w) stays 0
+    return -float(np.vdot(q, np.log(log_ratio, out=log_ratio))), res
+
+
+def _certify(constraints, family, start, bound):
+    """Multipliers of a Newton iterate from ``start`` (original features)
+    at which the rung of ``constraints`` provably has a BIC above
+    ``bound``, or ``None`` when no iterate proves it.
+
+    On the solver grid, with grid weights ``w`` and whitened features
+    ``psi``, the BIC of a solve is ``2 n D(lam) + k log n``, where
+    ``D(lam) = lam . mu + log sum w exp(-lam . psi)`` is the dual at the
+    multipliers it returns.  For any probabilities ``q`` on the grid,
+    Jensen's inequality gives ``D(lam) >= H(q) + lam . (mu - E_q psi)``
+    with ``H(q) = -sum q log(q / w)`` (weak duality; Boyd & Vandenberghe,
+    *Convex Optimization*, 5.2), and :func:`_newton` returns no whitened
+    multipliers of norm above ``_MAX_MULTIPLIER``.  So every BIC a solve
+    can report is at least ``2 n (H(q) - _MAX_MULTIPLIER |mu - E_q psi|)
+    + k log n``.  At each iterate ``q`` is its grid probabilities tilted
+    toward the targets (:func:`_feasible_entropy`), formed in their
+    buffer; near the optimum the bound is ``D`` less about half the
+    Newton decrement.
+
+    The iteration gives up as soon as ``2 n D + k log n`` at an iterate
+    is at most ``bound``, since past there the rung may win; also when
+    the gradient meets the Newton tolerance, or a step fails or
+    diverges.  The steps are those of :func:`_newton` (:func:`_descent`,
+    :func:`_line_search`)."""
+    n = constraints.sample_size
+    penalty = len(constraints.exponents) * math.log(n)
+    negligible = 0.01 / (2.0 * n * _MAX_MULTIPLIER)  # a hundredth of a BIC unit
+    mu_g = _whitened_targets(constraints.targets, family)
+    lam = family.r @ (start * family.scale)
+    mstar, qw = _weighted_exp(family.whitened_log_q(lam), family.weights)
+    z = float(np.sum(qw))
+    try:
+        for _ in range(_NEWTON_MAX_ITER):
+            if not np.isfinite(z) or z <= 0.0:
+                return None
+            obj = float(lam @ mu_g + mstar + math.log(z))
+            if 2.0 * n * obj + penalty <= bound:
+                return None
+            mom, hess = family.moments(np.divide(qw, z, out=qw))
+            grad = mu_g - mom
+            step, slope = _descent(hess, grad)
+            entropy, res = _feasible_entropy(family, mu_g, qw, mom, step, negligible)
+            if 2.0 * n * (entropy - _MAX_MULTIPLIER * res) + penalty > bound:
+                return _original(lam, family)
+            if _norm(grad) <= _NEWTON_TOL:
+                return None
+            moved = _line_search(family, mu_g, lam, obj, step, slope)
+            if moved is None:
+                return None
+            lam, mstar, qw, z = moved
+            if _norm(lam) > _MAX_MULTIPLIER:
+                return None
+    except MaxEntError:
+        return None
+    return None
+
+
+def _select(ladder, rung, fit):
     """Smallest-BIC fit over a ladder of exponent sets.
 
-    ``fit`` returns ``(estimate, bic, error)``, ``error`` bounding the
-    quadrature error of the log-likelihood in nats, or raises
-    :class:`MaxEntError` when the set has no resolvable optimum; such a
-    set leaves the race, and when every set fails the errors are raised
-    together.  A fit whose error exceeds one nat, a fraction of the BIC
-    charge of one parameter, cannot be ranked, so it competes only when
-    no other fit exists; then the least-error fit is returned with a
-    warning.
+    ``rung(exps)`` returns the constraints of one set and the family it
+    is solved on, and ``fit(constraints, family)`` solves it and returns
+    ``(estimate, bic, error)``, ``error`` bounding the quadrature error of
+    the log-likelihood in nats; either raises :class:`MaxEntError` when
+    the set has no resolvable optimum.  Such a set leaves the race, and
+    when every set fails the errors are raised together.  A fit whose
+    error exceeds one nat, a fraction of the BIC charge of one parameter,
+    cannot be ranked, so it competes only when no other fit exists; then
+    the least-error fit is returned with a warning.
+
+    Once a ranked fit exists, a set that holds every feature of the set
+    before it (on the same shift) is certified before it is solved:
+    :func:`_certify` runs Newton iterates from the multipliers of that
+    set, with zeros on the new features, and the set is skipped when its
+    BIC provably exceeds the smallest ranked BIC by more than one.  A
+    skipped set could never be chosen, and nothing else is read from it,
+    so the chosen fit, every estimate and every warning are those of
+    solving every set; a set the certificate cannot rule out is solved
+    from zero, as every set was.  The next set starts from the
+    multipliers of the last set reached, solved or certified.  On today's
+    ladders this covers the copula set
+    (1, ..., 6) after (1, ..., 4), and the marginal sets (1, 2, 3, 4)
+    after (1, 2) and (1, ..., 6) after (1, 2, 3, 4).
     """
     fits, errors = [], []
+    best, last = math.inf, None  # smallest ranked BIC; the last set reached
     for exps in ladder:
         try:
-            fits.append(fit(exps))
+            cons, family = rung(exps)
+            start = _nested_start(last, cons) if best < math.inf else None
+            lam = None if start is None else _certify(cons, family, start, best + 1.0)
+            if lam is not None:
+                last = cons, lam
+                continue
+            fitted = fit(cons, family)
         except MaxEntError as exc:
             errors.append(f"{exps}: {exc}")
+            last = None
+            continue
+        fits.append(fitted)
+        last = cons, fitted[0].multipliers
+        if fitted[2] <= 1.0:
+            best = min(best, fitted[1])
     if not fits:
         raise MaxEntError("no exponent set of the ladder could be fitted: "
                           + "; ".join(errors))
@@ -968,9 +1161,10 @@ def _sized(constraints, sample_size):
 def fit_density(sample, exponents=None, sample_size=None) -> MaxEntDensity:
     """Maximum-entropy density of a 1-D sample on the sample's range.
 
-    With ``None`` every set of :data:`MARGINAL_LADDER` is fitted and the
+    With ``None`` every set of :data:`MARGINAL_LADDER` competes and the
     one with the smallest BIC wins; an explicit ``exponents`` set is the
-    only rung of its ladder, so the fit uses exactly that set.
+    only rung of its ladder, so the fit uses exactly that set.  A set that
+    provably loses is not solved (see :func:`_select`).
 
     ``sample_size`` is the number of independent units behind the rows,
     BIC's ``n`` (Kass & Raftery, JASA 1995), clamped to the row count,
@@ -978,27 +1172,34 @@ def fit_density(sample, exponents=None, sample_size=None) -> MaxEntDensity:
     seeds are fewer units than rows, and counting each row charges too
     little per feature, so a rich rung can win by fitting the clumps.
     """
-    def fit(exps):
+    def rung(exps):
         cons = _sized(fractional_moments_1d(sample, exps), sample_size)
-        density = solve_maxent(cons)
+        return cons, _density_family(cons)
+
+    def fit(cons, family):
+        density = _solve_density(cons, family)
         return density, _bic(cons, density), 0.0
 
-    return _select(MARGINAL_LADDER if exponents is None else (exponents,), fit)
+    return _select(MARGINAL_LADDER if exponents is None else (exponents,), rung, fit)
 
 
 def fit_copula(sample_xy, exponents=None, sample_size=None) -> MaxEntCopula:
     """Maximum-entropy copula of a bivariate sample's ranks.
 
-    With ``None`` every set of :data:`COPULA_LADDER` is fitted and the one
+    With ``None`` every set of :data:`COPULA_LADDER` competes and the one
     with the smallest BIC among the fits the quadrature grid resolves well
-    enough to rank wins (see :func:`_select`); an explicit ``exponents``
-    set is a ladder of one rung, judged by the same rule.  ``sample_size``
-    is BIC's ``n``, as for :func:`fit_density`; the quadrature error
-    is judged as ``n`` times the drift of ``log Z``.
+    enough to rank wins (see :func:`_select`, which also skips a set that
+    provably loses); an explicit ``exponents`` set is a ladder of one
+    rung, judged by the same rule.  ``sample_size`` is BIC's ``n``, as for
+    :func:`fit_density`; the quadrature error is judged as ``n`` times the
+    drift of ``log Z``.
     """
-    def fit(exps):
+    def rung(exps):
         cons = _sized(copula_fractional_moments(sample_xy, exps), sample_size)
+        return cons, _copula_family(_copula_key(cons.exponents))
+
+    def fit(cons, family):
         copula, drift = _solve_copula(cons)
         return copula, _bic(cons, copula), cons.sample_size * drift
 
-    return _select(COPULA_LADDER if exponents is None else (exponents,), fit)
+    return _select(COPULA_LADDER if exponents is None else (exponents,), rung, fit)

@@ -3,10 +3,14 @@
 import copy
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
-from relsense.oracle import chi2_references, toy1_references
+from relsense.campaign import _make_blackbox, parse_config, replication_seed
+from relsense.model import builtin_model
+from relsense.oracle import chi2_references, rejection_conditioned_sample, toy1_references
+from relsense.smc import run_adaptive_smc
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +39,24 @@ SMALL_TOY1_CONFIG = {
 def small_toy1_config():
     """A cheap but complete campaign config (deep copy per test)."""
     return copy.deepcopy(SMALL_TOY1_CONFIG)
+
+
+@pytest.fixture(scope="session")
+def small_toy1_run():
+    """The sampler's result in replication 0 of the small toy1 campaign."""
+    config = parse_config(copy.deepcopy(SMALL_TOY1_CONFIG))
+    params = replace(config.smc, seed=replication_seed(config.master_seed, 0))
+    with _make_blackbox(config) as box:
+        return run_adaptive_smc(box, config.input_model, config.event, params)
+
+
+@pytest.fixture(scope="session")
+def toy1_rejection():
+    """12000 exact draws of toy1's inputs and output given failure."""
+    box, model, event = builtin_model("toy1")
+    return rejection_conditioned_sample(box, model, event, n_target=12000,
+                                        budget=10**7, seed=2024,
+                                        block_size=10**6)
 
 
 @pytest.fixture

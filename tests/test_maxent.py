@@ -484,6 +484,155 @@ class TestSampleSize:
             assert_same_fit(a, b)
 
 
+def solve_every_rung(x, y=None, sample_size=None):
+    """The fit the ladder chose before any rung was certified: every rung
+    of :data:`MARGINAL_LADDER` (``y`` None) or :data:`COPULA_LADDER` on
+    ``(x, y)`` solved from zero, and the smallest BIC among the ranked."""
+    ranked = []
+    for exps in MARGINAL_LADDER if y is None else COPULA_LADDER:
+        if y is None:
+            c = maxent._sized(fractional_moments_1d(x, exps), sample_size)
+            fitted, error = solve_maxent(c), 0.0
+        else:
+            c = maxent._sized(copula_fractional_moments(np.column_stack([x, y]), exps),
+                              sample_size)
+            fitted, drift = _solve_copula(c)
+            error = c.sample_size * drift
+        if error <= 1.0:
+            ranked.append((_bic(c, fitted), fitted))
+    return min(ranked, key=lambda f: f[0])[1]
+
+
+# (name, the marginal rung that wins, the copula's winning feature count or
+# None for a marginal alone)
+LADDER_SAMPLES = [
+    # exact draws of toy1's near-functional (X2, Y) pair: the copula's
+    # (1, ..., 6) rung wins, so its certificate gives up and it is solved
+    ("toy1_exact_x2", MARGINAL_LADDER[1], 48),
+    # the conditioned sample of a campaign, BIC's n its survivor count
+    ("toy1_campaign_x2", MARGINAL_LADDER[1], 24),
+    # a chi2 marginal whose (1, ..., 6) rung wins
+    ("chi2_campaign_x2", MARGINAL_LADDER[3], None),
+]
+
+
+@pytest.fixture(params=LADDER_SAMPLES, ids=lambda p: p[0])
+def ladder_sample(request):
+    """``(x, y, n, marginal, features)``: a sample column, its output
+    column or None, BIC's ``n`` (None for the row count), and the winners
+    of its ladders."""
+    name, marginal, features = request.param
+    if name == "toy1_exact_x2":
+        draws = request.getfixturevalue("toy1_rejection")
+        return draws.inputs[:, 1], draws.outputs, None, marginal, features
+    if name == "toy1_campaign_x2":
+        run = request.getfixturevalue("small_toy1_run")
+        return (run.conditioned_sample[:, 1], run.conditioned_outputs, run.n_survivors,
+                marginal, features)
+    return chi2_criterion_x2(0), None, None, marginal, features
+
+
+def nested_rungs(ladder):
+    """Pairs of consecutive rungs of ``ladder`` whose second holds the first."""
+    return [(a, b) for a, b in zip(ladder, ladder[1:]) if set(a) <= set(b)]
+
+
+class TestNestedCertificate:
+    """A rung whose features hold those of the rung before it is solved
+    only when weak duality cannot rule it out (:func:`maxent._certify`)."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_campaign_fit_solves_only_the_rungs_that_can_win(
+            self, small_toy1_run, monkeypatch, which):
+        # the parent solved every rung: 3 copulas and 4 marginals
+        solves = []
+        newton = maxent._newton
+
+        def counting(targets, family, tol, max_iter):
+            solves.append(len(targets))
+            return newton(targets, family, tol, max_iter)
+
+        monkeypatch.setattr(maxent, "_newton", counting)
+        run = small_toy1_run
+        x = run.conditioned_sample[:, which]
+        fit_copula(np.column_stack([x, run.conditioned_outputs]), sample_size=run.n_survivors)
+        assert solves == [15, 24]  # (1, ..., 6) is certified away
+        solves.clear()
+        fit_density(x, sample_size=run.n_survivors)
+        assert solves == [3, 2]  # so are (1, 2, 3, 4) and (1, ..., 6)
+
+    def test_the_choice_is_that_of_solving_every_rung(self, ladder_sample):
+        x, y, n, marginal, features = ladder_sample
+        density = fit_density(x, sample_size=n)
+        assert density.exponents == marginal
+        assert_same_fit(density, solve_every_rung(x, sample_size=n))
+        if y is not None:
+            copula = fit_copula(np.column_stack([x, y]), sample_size=n)
+            assert len(copula.exponents) == features
+            assert_same_fit(copula, solve_every_rung(x, y, n))
+
+    def test_the_bound_stays_below_the_cold_bic(self, ladder_sample, monkeypatch):
+        # certified against the rung's own cold BIC, no iterate may prove
+        # more: the certificate runs until it gives up, and the bound it
+        # read at every iterate stays at or below that BIC
+        x, y, n, _, _ = ladder_sample
+        bounds = []
+        feasible_entropy = maxent._feasible_entropy
+
+        def recording(*args):
+            entropy, res = feasible_entropy(*args)
+            bounds.append((entropy, res))
+            return entropy, res
+
+        monkeypatch.setattr(maxent, "_feasible_entropy", recording)
+        checked = 0
+        for ladder in (MARGINAL_LADDER, COPULA_LADDER) if y is not None else (MARGINAL_LADDER,):
+            for prev, exps in nested_rungs(ladder):
+                if ladder is MARGINAL_LADDER:
+                    rung = [maxent._sized(fractional_moments_1d(x, e), n) for e in (prev, exps)]
+                    fits = [solve_maxent(c) for c in rung]
+                    family = maxent._density_family(rung[1])
+                else:
+                    xy = np.column_stack([x, y])
+                    rung = [maxent._sized(copula_fractional_moments(xy, e), n)
+                            for e in (prev, exps)]
+                    fits = [_solve_copula(c)[0] for c in rung]
+                    family = _copula_family(maxent._copula_key(rung[1].exponents))
+                cold = _bic(rung[1], fits[1])
+                start = maxent._nested_start((rung[0], fits[0].multipliers), rung[1])
+                bounds.clear()
+                assert maxent._certify(rung[1], family, start, cold) is None, exps
+                assert bounds, exps
+                size = rung[1].sample_size
+                penalty = len(rung[1].exponents) * math.log(size)
+                for entropy, res in bounds:
+                    lower = 2.0 * size * (entropy - maxent._MAX_MULTIPLIER * res) + penalty
+                    assert lower <= cold, exps
+                checked += 1
+        assert checked == (3 if y is not None else 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 30.0),
+           peak=st.floats(0.0, 8.0), empty=st.floats(0.0, 0.9))
+    def test_jensen_bounds_the_log_partition(self, seed, spread, peak, empty):
+        # log sum w exp(-lam . psi) >= H(q) - lam . E_q psi for any
+        # multipliers and any probabilities q on the grid, with
+        # H(q) = -sum q log(q / w): weak duality, the certificate's bound
+        rng = np.random.default_rng(seed)
+        key = maxent._copula_key(copula_fractional_moments(rng.random((8, 2)),
+                                                           (1.0, 2.0)).exponents)
+        family = _copula_family(key)
+        lam = spread * rng.standard_normal(len(key))
+        q = rng.random(family.weights.shape) ** peak
+        q[rng.random(q.shape) < empty] = 0.0
+        q /= q.sum()
+        log_z = _log_partition(family.whitened_log_q(lam), family.weights)
+        inside = q > 0.0
+        entropy = -float(np.sum(q[inside] * np.log(q[inside] / family.weights[inside])))
+        mean, _ = family.moments(q)
+        assert log_z >= entropy - float(lam @ mean) - 1e-9 * (1.0 + abs(log_z))
+
+
 # Each rung of COPULA_LADDER on toy1_pair(which), as solved by the dense
 # whitened Newton solver this one replaced: delta_index, log normalizer
 # and BIC, and the rung (feature count) the ladder picks.  NEWTON_STEPS

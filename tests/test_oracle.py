@@ -152,14 +152,6 @@ class TestReferenceTables:
             ReferenceValue("x", 1.0, "guesswork", 1e-3)
 
 
-@pytest.fixture(scope="module")
-def toy1_rejection():
-    box, model, event = builtin_model("toy1")
-    return rejection_conditioned_sample(box, model, event, n_target=12000,
-                                        budget=10**7, seed=2024,
-                                        block_size=10**6)
-
-
 class TestRejectionSampling:
     def test_toy1_conditioned_draws(self, toy1_rejection):
         sample = toy1_rejection
