@@ -52,9 +52,10 @@ family nor an array over its grid: :func:`_drift_log_partition` sums
 ``log Z`` over panels of ``_DRIFT_PANEL`` rows, each formed from the
 axis powers (held once per exponent set) and the axis weights.  On the
 solver grid the log density is formed in one buffer that is then turned
-in place into the weighted exponentials; the Newton loop carries those of
-an accepted line-search candidate to the next iterate.  Its linear
-algebra is numpy alone, so a fit loads no scipy.  The whitening QR
+in place into the weighted exponentials; the Newton loop of
+:mod:`relsense._dual` forms every line-search candidate in that buffer
+and carries the accepted one to the next iterate.  Its linear algebra is
+numpy alone, so a fit loads no scipy.  The whitening QR
 factorizations, plain and column-pivoted, are Householder reflections
 written in numpy (:func:`_householder_qr`).  The matrices are at most
 384 x 7 and 48 x 48, and calling LAPACK's QR and SVD on them would page
@@ -72,10 +73,10 @@ resolution rule.  A copula is fitted only by :func:`fit_copula`;
 
 A rung that provably loses is not solved.  Once a ranked fit exists, a
 rung whose features hold those of the rung before it is first certified
-(:func:`_certify`).  Newton iterates start from the earlier rung's
-multipliers, with zeros on the new features, and share their step with
-:func:`_newton`.  At each iterate the grid density is tilted toward the
-rung's moment targets (:func:`_feasible_entropy`).  Its entropy, less a
+(:func:`relsense._dual._certify`).  Newton iterates start from the
+earlier rung's multipliers, with zeros on the new features, and share
+their step with the solver.  At each iterate the grid density is tilted
+toward the rung's moment targets.  Its entropy, less a
 charge for the targets it still misses, bounds from below the dual at any multipliers a solve can
 return (weak duality), and so the BIC the rung would report.  When that
 bound exceeds the best ranked BIC by more than one, the rung is
@@ -93,7 +94,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky
+
+from ._dual import (
+    _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
+    InfeasibleConstraintsError,
+    MaxEntError,
+    _certify,
+    _newton,
+    _weighted_exp,
+)
 
 __all__ = [
     "MaxEntError",
@@ -113,14 +123,8 @@ __all__ = [
 SHIFT_EPS = 1e-6
 DEFAULT_EXPONENTS = (0.5, 1.0, 1.5)
 
-# Newton limits of every solve, and the whitened multiplier norm past which
-# the dual counts as diverging (so no solve returns a larger one); axis
-# points of the copula and drift grids, and the rows of the drift grid
+# Axis points of the copula and drift grids, and the rows of the drift grid
 # summed at once (a 64 KiB panel; it must divide the drift axis).
-_NEWTON_TOL, _NEWTON_MAX_ITER, _MAX_MULTIPLIER = 1e-6, 200, 1e10
-# Tilts toward the moment targets per iterate of a certificate (see
-# _feasible_entropy); in a toy1 campaign an iterate rarely needs over five.
-_TILTS = 8
 _COPULA_AXIS, _DRIFT_AXIS, _DRIFT_PANEL = 128, 256, 32
 
 # Candidate exponent sets, from sparse to rich, searched by BIC when a fit
@@ -133,14 +137,6 @@ MARGINAL_LADDER = ((0.5, 1.0, 1.5), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0),
                    (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
 COPULA_LADDER = ((0.5, 1.0, 1.5), (1.0, 2.0, 3.0, 4.0),
                  (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-
-
-class MaxEntError(RuntimeError):
-    """The dual solve failed to converge."""
-
-
-class InfeasibleConstraintsError(MaxEntError):
-    """The dual is diverging: no density on the support matches the moments."""
 
 
 @dataclass(frozen=True)
@@ -447,32 +443,10 @@ def _solver_weights():
     return wuv
 
 
-def _weighted_exp(logq, w):
-    """``(m, w * exp(logq - m))`` with ``m = max(logq)``, formed in the
-    buffer of ``logq``, which is overwritten."""
-    m = np.max(logq)
-    np.subtract(logq, m, out=logq)
-    np.exp(logq, out=logq)
-    np.multiply(w, logq, out=logq)
-    return m, logq
-
-
 def _log_partition(logq, w):
     """``log sum(w * exp(logq))``, overwriting ``logq``."""
     m, qw = _weighted_exp(logq, w)
     return float(m + math.log(np.sum(qw)))
-
-
-def _norm(v):
-    """Euclidean norm, as ``numpy.linalg.norm`` forms it for a vector."""
-    return math.sqrt(v.dot(v))
-
-
-def _solve_upper(r, b, trans):
-    """Solve ``r x = b`` (``trans=0``) or ``r.T x = b`` (``trans=1``) for
-    the upper triangular ``r`` of :func:`_feature_map`.  numpy has no
-    triangular solve, so this is a general one; it runs twice per fit."""
-    return np.linalg.solve(r.T if trans else r, b)
 
 
 @dataclass(frozen=True)
@@ -522,11 +496,12 @@ class _TensorFamily:
         """``log Z`` at multipliers ``lam`` of the original features."""
         return _log_partition(self.log_q(lam), self.weights)
 
-    def whitened_log_q(self, lam):
-        """Unnormalized log density at multipliers of the whitened features."""
+    def whitened_log_q(self, lam, out=None):
+        """Unnormalized log density at multipliers of the whitened features,
+        formed in ``out`` when given."""
         k1 = self.g.shape[0]
         theta = np.concatenate([[0.0], self.coef @ lam]).reshape(k1, k1)
-        logq = self.g.T @ theta @ self.g
+        logq = np.matmul(self.g.T @ theta, self.g, out=out)
         return np.negative(logq, out=logq)
 
     def moments(self, p):
@@ -729,8 +704,9 @@ class _DenseFamily:
     def log_partition(self, lam) -> float:
         return _log_partition(-(lam @ self.feats), self.weights)
 
-    def whitened_log_q(self, lam):
-        return -(lam @ self.g)
+    def whitened_log_q(self, lam, out=None):
+        logq = np.matmul(lam, self.g, out=out)
+        return np.negative(logq, out=logq)
 
     def moments(self, p):
         mom = self.g @ p
@@ -800,143 +776,6 @@ def _drift_log_partition(exponents, coef):
     return float(m + math.log(total))
 
 
-def _descent(hess, grad):
-    """The Newton step ``-(hess + ridge I)^{-1} grad`` of one iterate and
-    its slope ``grad . step``; the ridge is zero unless the Hessian fails
-    to factor, and then grows tenfold until it does.
-
-    Each ridge attempt is one :func:`numpy.linalg.cholesky`, which
-    raises :class:`numpy.linalg.LinAlgError` when the ridged Hessian is
-    not positive definite; the step is then one
-    :func:`numpy.linalg.solve` with that matrix, and the factor itself is
-    not used."""
-    eye = np.eye(grad.shape[0])
-    ridge = 0.0
-    while True:
-        ridged = hess + ridge * eye
-        try:
-            cholesky(ridged)
-            break
-        except LinAlgError:  # a leading minor is not positive definite
-            pass
-        # the trace-relative floor alone can stall at zero when the
-        # dual iterate collapses the density onto a single node (all a
-        # zero Hessian means on a real grid); the absolute floor carries
-        # that on to the divergence test, which names it infeasible
-        ridge = max(ridge * 10.0, 1e-12 * np.trace(hess) / hess.shape[0], 1e-15)
-        if ridge > 1e6:
-            raise MaxEntError("dual Hessian is numerically singular")
-    step = -np.linalg.solve(ridged, grad)
-    slope = float(grad @ step)
-    if not slope < 0.0:
-        raise MaxEntError("Newton step is not a descent direction; the dual "
-                          "Hessian is numerically singular")
-    return step, slope
-
-
-def _line_search(family, mu_g, lam, obj, step, slope):
-    """Backtracking (Armijo) search along ``step`` from the whitened
-    multipliers ``lam``, whose dual objective is ``obj``.
-
-    Returns ``(lam, m, qw, z)`` of the accepted candidate, its weighted
-    exponentials ``qw`` shifted by ``m`` (:func:`_weighted_exp`) and their
-    sum ``z``, or ``None`` when 60 halvings find no sufficient decrease."""
-    t = 1.0
-    for _ in range(60):
-        cand = lam + t * step
-        cand_m, cand_qw = _weighted_exp(family.whitened_log_q(cand), family.weights)
-        cand_z = float(np.sum(cand_qw))
-        cand_obj = float(cand @ mu_g + (cand_m + math.log(cand_z)))
-        if cand_obj <= obj + 1e-4 * t * slope:
-            return cand, cand_m, cand_qw, cand_z
-        t *= 0.5
-    return None
-
-
-def _whitened_targets(targets, family):
-    """The moment targets in the whitened basis of ``family``."""
-    return _solve_upper(family.r, targets / family.scale - family.center, trans=1)
-
-
-def _original(lam, family):
-    """Multipliers of the original features from whitened ones."""
-    return _solve_upper(family.r, lam, trans=0) / family.scale
-
-
-def _newton(targets, family, tol, max_iter):
-    """Damped Newton on the dual; returns (multipliers, log Z, iterations).
-
-    ``family`` is a :class:`_TensorFamily` (copula) or a
-    :class:`_DenseFamily` (1-D).  The steps are taken in its whitened
-    basis; for a copula that works on the per-axis arrays of
-    :func:`_whiten`: the log density is the bilinear form
-    ``g.T @ Theta @ g`` over the grid ``P`` of probabilities,
-    and the moments and the Hessian are read off its projection onto the
-    span of the pairwise products, ``h P h.T`` (see
-    :meth:`_TensorFamily.moments`).  Newton steps are affine
-    invariant, so the iterates are those of the original features.
-    Convergence is judged on the moments of the original features,
-    ``r.T @ grad``, and the multipliers are returned in that basis.
-
-    Each step is one :func:`_descent` and one :func:`_line_search`, which
-    :func:`_certify` shares.  The weighted exponentials of an accepted
-    line-search candidate are those of the next iterate, so they are
-    carried over.
-
-    Near the optimum of a badly scaled rung (``z**6`` on ``[3, 6.5]`` has
-    a ``scale`` of 7e4) the scaled test can stay out of reach while the
-    predicted decrease ``-slope`` falls below the roundoff of the
-    objective, so no step can lower it.  An iterate whose whitened
-    gradient ``grad`` and gradient ``r.T @ grad`` both meet ``tol`` and
-    whose ``-slope`` is at most ``1e-13 * max(1, |obj|)`` has converged
-    to rounding.  It is returned when the line search fails at it, and
-    the last such iterate is returned when ``max_iter`` runs out; the
-    iteration never stops at one earlier (rounding exit; Nocedal &
-    Wright, *Numerical Optimization*, 2006, on line-search termination
-    at machine precision).
-    """
-    scale, r = family.scale, family.r
-    mu_g = _whitened_targets(targets, family)
-    lam = np.zeros(targets.shape[0])
-    mstar, qw = _weighted_exp(family.whitened_log_q(lam), family.weights)
-    z = float(np.sum(qw))
-
-    def result(lam, it):
-        lam_orig = _original(lam, family)
-        return lam_orig, family.log_partition(lam_orig), it
-
-    rounded = None  # (multipliers, iteration) of the last iterate converged to rounding
-    for it in range(1, max_iter + 1):
-        # a finite, positive z keeps the moments and so the Hessian finite
-        if not np.isfinite(z) or z <= 0.0:
-            raise InfeasibleConstraintsError("dual integrand degenerated; constraints "
-                                             "are infeasible on this support")
-        mom, hess = family.moments(np.divide(qw, z, out=qw))
-        grad = mu_g - mom
-        grad_s = r.T @ grad
-        if _norm(grad_s * scale) <= tol and _norm(grad_s) <= tol:
-            return result(lam, it)
-        obj = float(lam @ mu_g + mstar + math.log(z))
-        step, slope = _descent(hess, grad)
-        at_rounding = (_norm(grad) <= tol and _norm(grad_s) <= tol
-                       and -slope <= 1e-13 * max(1.0, abs(obj)))
-        if at_rounding:
-            rounded = lam, it
-        moved = _line_search(family, mu_g, lam, obj, step, slope)
-        if moved is None:
-            if at_rounding:
-                return result(lam, it)
-            raise MaxEntError("line search failed; the dual may be flat or the "
-                              "constraints near the feasibility boundary")
-        lam, mstar, qw, z = moved
-        if _norm(lam) > _MAX_MULTIPLIER:
-            raise InfeasibleConstraintsError("dual multipliers diverging; no density on "
-                                             "the support matches the moment targets")
-    if rounded is not None:
-        return result(*rounded)
-    raise MaxEntError(f"Newton did not reach gradient norm {tol} in {max_iter} iterations")
-
-
 def _solve_copula(constraints):
     """Fitted copula and the drift of its ``log Z`` from the solver grid to
     the finer drift grid.
@@ -963,12 +802,8 @@ def solve_maxent(constraints: MomentConstraints) -> MaxEntDensity:
     if constraints.ndim != 1:
         raise ValueError("solve_maxent fits 1-D constraints only; fit a copula "
                          "with fit_copula")
-    return _solve_density(constraints, _density_family(constraints))
-
-
-def _solve_density(constraints, family):
-    """The 1-D solve of :func:`solve_maxent` on the family of ``constraints``."""
-    lam, log_z, _ = _newton(constraints.targets, family, _NEWTON_TOL, _NEWTON_MAX_ITER)
+    lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
+                            _NEWTON_TOL, _NEWTON_MAX_ITER)
     return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
                          log_normalizer=-log_z,
                          support_shifted=constraints.support, shift=constraints.shift)
@@ -984,11 +819,19 @@ def _bic(constraints: MomentConstraints, fitted) -> float:
     return -2.0 * loglik + len(constraints.exponents) * math.log(n)
 
 
+def _family(constraints):
+    """The family a rung is solved on: its support grid for a density,
+    the shared solver grid for a copula."""
+    if constraints.ndim == 1:
+        return _density_family(constraints)
+    return _copula_family(_copula_key(constraints.exponents))
+
+
 def _nested_start(last, constraints):
     """Multipliers of the features of ``constraints``: those of the rung
-    ``last = (constraints, multipliers)`` on its own features and zero on
-    the new ones, or ``None`` unless every feature of that rung is one of
-    these, on the same shift (so on the same support)."""
+    ``last = (constraints, multipliers)`` on its features and zero on the
+    new ones; ``None`` unless every feature of that rung is one of these,
+    on the same shift (so on the same support)."""
     if last is None:
         return None
     prev, lam = last
@@ -1000,134 +843,44 @@ def _nested_start(last, constraints):
     return start
 
 
-def _feasible_entropy(family, mu_g, q, mom, step, negligible):
-    """Entropy ``H(q) = -sum q log(q / w)`` of grid probabilities ``q``
-    after tilting them in place toward the whitened targets ``mu_g``, and
-    the distance ``|mu_g - E_q psi|`` the tilts leave.
-
-    ``mom`` is the mean of the whitened features ``psi`` under ``q``, and
-    ``step`` is the Newton step ``-Cov_q(psi)^{-1} (mu_g - mom)``
-    (:func:`_descent`).  A tilt replaces
-    ``q`` by ``q (1 + t)_+``, normalized, with ``t = -(psi - mom) .
-    step``: the moments are linear in ``q``, so without the clip at zero
-    the tilted means are ``mu_g`` to rounding.  Where the clip bites they
-    are not, and the tilt is repeated from the new ``q`` with its own
-    Newton step, while the distance at least halves and is above
-    ``negligible``, at most ``_TILTS`` times.  ``1 + t`` takes one grid
-    array besides ``q``, and so does ``log(q / w)`` after it."""
-    res = _norm(mu_g - mom)
-    for _ in range(_TILTS):
-        u = family.whitened_log_q(step)  # -psi . step on the grid
-        u += 1.0 + float(mom @ step)
-        np.maximum(u, 0.0, out=u)
-        np.multiply(q, u, out=q)
-        del u
-        q /= float(np.sum(q))
-        mom, cov = family.moments(q)
-        last, res = res, _norm(mu_g - mom)
-        if res <= negligible or not res < 0.5 * last:
-            break
-        step, _ = _descent(cov, mu_g - mom)
-    log_ratio = np.divide(q, family.weights)
-    np.maximum(log_ratio, 1e-300, out=log_ratio)  # where q is 0, q log(q / w) stays 0
-    return -float(np.vdot(q, np.log(log_ratio, out=log_ratio))), res
-
-
-def _certify(constraints, family, start, bound):
-    """Multipliers of a Newton iterate from ``start`` (original features)
-    at which the rung of ``constraints`` provably has a BIC above
-    ``bound``, or ``None`` when no iterate proves it.
-
-    On the solver grid, with grid weights ``w`` and whitened features
-    ``psi``, the BIC of a solve is ``2 n D(lam) + k log n``, where
-    ``D(lam) = lam . mu + log sum w exp(-lam . psi)`` is the dual at the
-    multipliers it returns.  For any probabilities ``q`` on the grid,
-    Jensen's inequality gives ``D(lam) >= H(q) + lam . (mu - E_q psi)``
-    with ``H(q) = -sum q log(q / w)`` (weak duality; Boyd & Vandenberghe,
-    *Convex Optimization*, 5.2), and :func:`_newton` returns no whitened
-    multipliers of norm above ``_MAX_MULTIPLIER``.  So every BIC a solve
-    can report is at least ``2 n (H(q) - _MAX_MULTIPLIER |mu - E_q psi|)
-    + k log n``.  At each iterate ``q`` is its grid probabilities tilted
-    toward the targets (:func:`_feasible_entropy`), formed in their
-    buffer; near the optimum the bound is ``D`` less about half the
-    Newton decrement.
-
-    The iteration gives up as soon as ``2 n D + k log n`` at an iterate
-    is at most ``bound``, since past there the rung may win; also when
-    the gradient meets the Newton tolerance, or a step fails or
-    diverges.  The steps are those of :func:`_newton` (:func:`_descent`,
-    :func:`_line_search`)."""
-    n = constraints.sample_size
-    penalty = len(constraints.exponents) * math.log(n)
-    negligible = 0.01 / (2.0 * n * _MAX_MULTIPLIER)  # a hundredth of a BIC unit
-    mu_g = _whitened_targets(constraints.targets, family)
-    lam = family.r @ (start * family.scale)
-    mstar, qw = _weighted_exp(family.whitened_log_q(lam), family.weights)
-    z = float(np.sum(qw))
-    try:
-        for _ in range(_NEWTON_MAX_ITER):
-            if not np.isfinite(z) or z <= 0.0:
-                return None
-            obj = float(lam @ mu_g + mstar + math.log(z))
-            if 2.0 * n * obj + penalty <= bound:
-                return None
-            mom, hess = family.moments(np.divide(qw, z, out=qw))
-            grad = mu_g - mom
-            step, slope = _descent(hess, grad)
-            entropy, res = _feasible_entropy(family, mu_g, qw, mom, step, negligible)
-            if 2.0 * n * (entropy - _MAX_MULTIPLIER * res) + penalty > bound:
-                return _original(lam, family)
-            if _norm(grad) <= _NEWTON_TOL:
-                return None
-            moved = _line_search(family, mu_g, lam, obj, step, slope)
-            if moved is None:
-                return None
-            lam, mstar, qw, z = moved
-            if _norm(lam) > _MAX_MULTIPLIER:
-                return None
-    except MaxEntError:
-        return None
-    return None
-
-
 def _select(ladder, rung, fit):
     """Smallest-BIC fit over a ladder of exponent sets.
 
-    ``rung(exps)`` returns the constraints of one set and the family it
-    is solved on, and ``fit(constraints, family)`` solves it and returns
-    ``(estimate, bic, error)``, ``error`` bounding the quadrature error of
-    the log-likelihood in nats; either raises :class:`MaxEntError` when
-    the set has no resolvable optimum.  Such a set leaves the race, and
-    when every set fails the errors are raised together.  A fit whose
-    error exceeds one nat, a fraction of the BIC charge of one parameter,
-    cannot be ranked, so it competes only when no other fit exists; then
-    the least-error fit is returned with a warning.
+    ``rung(exps)`` returns the constraints of one set, and
+    ``fit(constraints)`` solves them and returns ``(estimate, bic,
+    error)``, ``error`` bounding the quadrature error of the
+    log-likelihood in nats; either raises :class:`MaxEntError` when the
+    set has no resolvable optimum.  Such a set leaves the race, and when
+    every set fails the errors are raised together.  A fit whose error
+    exceeds one nat, a fraction of the BIC charge of one parameter, cannot
+    be ranked, so it competes only when no other fit exists; then the
+    least-error fit is returned with a warning.
 
     Once a ranked fit exists, a set that holds every feature of the set
     before it (on the same shift) is certified before it is solved:
-    :func:`_certify` runs Newton iterates from the multipliers of that
-    set, with zeros on the new features, and the set is skipped when its
-    BIC provably exceeds the smallest ranked BIC by more than one.  A
-    skipped set could never be chosen, and nothing else is read from it,
-    so the chosen fit, every estimate and every warning are those of
-    solving every set; a set the certificate cannot rule out is solved
-    from zero, as every set was.  The next set starts from the
+    :func:`relsense._dual._certify` runs Newton iterates from the
+    multipliers of that set, with zeros on the new features, and the set
+    is skipped when its BIC provably exceeds the smallest ranked BIC by
+    more than one.  A skipped set could never be chosen, and nothing else
+    is read from it, so the chosen fit, every estimate and every warning
+    are those of solving every set; a set the certificate cannot rule out
+    is solved from zero, as every set was.  The next set starts from the
     multipliers of the last set reached, solved or certified.  On today's
-    ladders this covers the copula set
-    (1, ..., 6) after (1, ..., 4), and the marginal sets (1, 2, 3, 4)
-    after (1, 2) and (1, ..., 6) after (1, 2, 3, 4).
+    ladders this covers the copula set (1, ..., 6) after (1, ..., 4), and
+    the marginal sets (1, 2, 3, 4) after (1, 2) and (1, ..., 6) after
+    (1, 2, 3, 4).
     """
     fits, errors = [], []
     best, last = math.inf, None  # smallest ranked BIC; the last set reached
     for exps in ladder:
         try:
-            cons, family = rung(exps)
-            start = _nested_start(last, cons) if best < math.inf else None
-            lam = None if start is None else _certify(cons, family, start, best + 1.0)
+            cons = rung(exps)
+            start = None if best == math.inf else _nested_start(last, cons)
+            lam = None if start is None else _certify(cons, _family(cons), start, best + 1.0)
             if lam is not None:
                 last = cons, lam
                 continue
-            fitted = fit(cons, family)
+            fitted = fit(cons)
         except MaxEntError as exc:
             errors.append(f"{exps}: {exc}")
             last = None
@@ -1173,11 +926,10 @@ def fit_density(sample, exponents=None, sample_size=None) -> MaxEntDensity:
     little per feature, so a rich rung can win by fitting the clumps.
     """
     def rung(exps):
-        cons = _sized(fractional_moments_1d(sample, exps), sample_size)
-        return cons, _density_family(cons)
+        return _sized(fractional_moments_1d(sample, exps), sample_size)
 
-    def fit(cons, family):
-        density = _solve_density(cons, family)
+    def fit(cons):
+        density = solve_maxent(cons)
         return density, _bic(cons, density), 0.0
 
     return _select(MARGINAL_LADDER if exponents is None else (exponents,), rung, fit)
@@ -1195,10 +947,9 @@ def fit_copula(sample_xy, exponents=None, sample_size=None) -> MaxEntCopula:
     drift of ``log Z``.
     """
     def rung(exps):
-        cons = _sized(copula_fractional_moments(sample_xy, exps), sample_size)
-        return cons, _copula_family(_copula_key(cons.exponents))
+        return _sized(copula_fractional_moments(sample_xy, exps), sample_size)
 
-    def fit(cons, family):
+    def fit(cons):
         copula, drift = _solve_copula(cons)
         return copula, _bic(cons, copula), cons.sample_size * drift
 

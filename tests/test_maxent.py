@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
 
-from relsense import campaign, maxent
+from relsense import _dual, campaign, maxent
 from relsense.campaign import parse_config, replication_seed, run_replication
 from relsense.maxent import (
     COPULA_LADDER,
@@ -26,7 +26,6 @@ from relsense.maxent import (
     _log_partition,
     _newton,
     _solve_copula,
-    _solve_upper,
     _unit_axis,
     copula_fractional_moments,
     fit_copula,
@@ -34,6 +33,7 @@ from relsense.maxent import (
     fractional_moments_1d,
     solve_maxent,
 )
+from relsense._dual import _solve_upper
 from relsense.indices import delta_index
 from relsense.smc import run_adaptive_smc
 
@@ -577,36 +577,35 @@ class TestNestedCertificate:
         # read at every iterate stays at or below that BIC
         x, y, n, _, _ = ladder_sample
         bounds = []
-        feasible_entropy = maxent._feasible_entropy
+        feasible_entropy = _dual._feasible_entropy
 
         def recording(*args):
             entropy, res = feasible_entropy(*args)
             bounds.append((entropy, res))
             return entropy, res
 
-        monkeypatch.setattr(maxent, "_feasible_entropy", recording)
+        monkeypatch.setattr(_dual, "_feasible_entropy", recording)
         checked = 0
         for ladder in (MARGINAL_LADDER, COPULA_LADDER) if y is not None else (MARGINAL_LADDER,):
             for prev, exps in nested_rungs(ladder):
                 if ladder is MARGINAL_LADDER:
                     rung = [maxent._sized(fractional_moments_1d(x, e), n) for e in (prev, exps)]
                     fits = [solve_maxent(c) for c in rung]
-                    family = maxent._density_family(rung[1])
                 else:
                     xy = np.column_stack([x, y])
                     rung = [maxent._sized(copula_fractional_moments(xy, e), n)
                             for e in (prev, exps)]
                     fits = [_solve_copula(c)[0] for c in rung]
-                    family = _copula_family(maxent._copula_key(rung[1].exponents))
                 cold = _bic(rung[1], fits[1])
-                start = maxent._nested_start((rung[0], fits[0].multipliers), rung[1])
                 bounds.clear()
-                assert maxent._certify(rung[1], family, start, cold) is None, exps
+                start = maxent._nested_start((rung[0], fits[0].multipliers), rung[1])
+                family = maxent._family(rung[1])
+                assert _dual._certify(rung[1], family, start, cold) is None, exps
                 assert bounds, exps
                 size = rung[1].sample_size
                 penalty = len(rung[1].exponents) * math.log(size)
                 for entropy, res in bounds:
-                    lower = 2.0 * size * (entropy - maxent._MAX_MULTIPLIER * res) + penalty
+                    lower = 2.0 * size * (entropy - _dual._MAX_MULTIPLIER * res) + penalty
                     assert lower <= cold, exps
                 checked += 1
         assert checked == (3 if y is not None else 2)
@@ -835,8 +834,9 @@ class _FakeFamily:
         k = g.shape[0]
         self.scale, self.center, self.r = np.ones(k), np.zeros(k), np.eye(k)
 
-    def whitened_log_q(self, lam):
-        return -(lam @ self.g)
+    def whitened_log_q(self, lam, out=None):
+        logq = np.matmul(lam, self.g, out=out)
+        return np.negative(logq, out=logq)
 
     def log_partition(self, lam):
         return math.log(np.sum(self.weights * np.exp(-(lam @ self.g))))
@@ -858,7 +858,7 @@ class TestNewtonRidge:
 
     def test_rank_deficient_hessian_gets_a_ridge_and_converges(self, monkeypatch):
         attempts = []  # (matrix, factorized) per Cholesky attempt
-        factor = maxent.cholesky
+        factor = _dual.cholesky
 
         def recording(a):
             try:
@@ -869,7 +869,7 @@ class TestNewtonRidge:
             attempts.append((a.copy(), True))
             return chol
 
-        monkeypatch.setattr(maxent, "cholesky", recording)
+        monkeypatch.setattr(_dual, "cholesky", recording)
         family = self._family()
         lam, log_z, _ = _newton(np.array([0.3, 0.0]), family, 1e-9, 50)
         # the plain factorization fails on the zero pivot; a ridged one succeeds
