@@ -54,7 +54,7 @@ def _solve_upper(r, b, trans):
     """Solve ``r x = b`` (``trans=0``) or ``r.T x = b`` (``trans=1``) for
     the upper triangular ``r`` of :func:`relsense.maxent._feature_map`.
     numpy has no triangular solve, so this is a general one; it runs twice
-    per fit."""
+    per solve and twice per certificate."""
     return np.linalg.solve(r.T if trans else r, b)
 
 
