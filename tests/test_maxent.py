@@ -539,7 +539,7 @@ def nested_rungs(ladder):
 
 class TestNestedCertificate:
     """A rung whose features hold those of the rung before it is solved
-    only when weak duality cannot rule it out (:func:`maxent._certify`)."""
+    only when weak duality cannot rule it out (:func:`relsense._dual._certify`)."""
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_a_campaign_fit_solves_only_the_rungs_that_can_win(
