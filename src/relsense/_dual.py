@@ -11,7 +11,9 @@ probabilities ``p``.  :func:`_newton` and :func:`_certify` take the same
 Newton step (:func:`_descent`, :func:`_line_search`), and each holds the
 grid arrays it works on for the whole solve: one for :func:`_newton`, in
 which every line-search candidate is formed, and one more for the
-certificate's tilts.
+certificate's tilts.  No sample size, exponent count or BIC reaches
+this module: the certificate's ``ceiling`` and ``slack`` are dual values
+(nats per row).
 """
 
 import math
@@ -113,7 +115,7 @@ def _line_search(family, mu_g, lam, obj, step, slope, buf):
     return None
 
 
-def _newton(targets, family, tol, max_iter):
+def _newton(targets, family):
     """Damped Newton on the dual; returns (multipliers, log Z, iterations).
 
     ``family`` is a :class:`~relsense.maxent._TensorFamily` (copula) or a
@@ -138,13 +140,13 @@ def _newton(targets, family, tol, max_iter):
     a ``scale`` of 7e4) the scaled test can stay out of reach while the
     predicted decrease ``-slope`` falls below the roundoff of the
     objective, so no step can lower it.  An iterate whose whitened
-    gradient ``grad`` and gradient ``r.T @ grad`` both meet ``tol`` and
-    whose ``-slope`` is at most ``1e-13 * max(1, |obj|)`` has converged
-    to rounding.  It is returned when the line search fails at it, and
-    the last such iterate is returned when ``max_iter`` runs out; the
-    iteration never stops at one earlier (rounding exit; Nocedal &
-    Wright, *Numerical Optimization*, 2006, on line-search termination
-    at machine precision).
+    gradient ``grad`` and gradient ``r.T @ grad`` both meet
+    ``_NEWTON_TOL`` and whose ``-slope`` is at most ``1e-13 * max(1,
+    |obj|)`` has converged to rounding.  It is returned when the line
+    search fails at it, and the last such iterate is returned when the
+    ``_NEWTON_MAX_ITER`` steps run out; the iteration never stops at one
+    earlier (rounding exit; Nocedal & Wright, *Numerical Optimization*,
+    2006, on line-search termination at machine precision).
     """
     scale, center, r, w = family.scale, family.center, family.r, family.weights
     mu_s = targets / scale
@@ -158,7 +160,7 @@ def _newton(targets, family, tol, max_iter):
         return lam_orig, family.log_partition(lam_orig), it
 
     rounded = None  # (multipliers, iteration) of the last iterate converged to rounding
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         # a finite, positive z keeps the moments and so the Hessian finite
         if not np.isfinite(z) or z <= 0.0:
             raise InfeasibleConstraintsError("dual integrand degenerated; constraints "
@@ -166,11 +168,11 @@ def _newton(targets, family, tol, max_iter):
         mom, hess = family.moments(np.divide(qw, z, out=qw))
         grad = mu_g - mom
         grad_s = r.T @ grad
-        if _norm(grad_s * scale) <= tol and _norm(grad_s) <= tol:
+        if _norm(grad_s * scale) <= _NEWTON_TOL and _norm(grad_s) <= _NEWTON_TOL:
             return result(lam, it)
         obj = float(lam @ mu_g + mstar + math.log(z))
         step, slope = _descent(hess, grad)
-        at_rounding = (_norm(grad) <= tol and _norm(grad_s) <= tol
+        at_rounding = (_norm(grad) <= _NEWTON_TOL and _norm(grad_s) <= _NEWTON_TOL
                        and -slope <= 1e-13 * max(1.0, abs(obj)))
         if at_rounding:
             rounded = lam, it
@@ -186,7 +188,8 @@ def _newton(targets, family, tol, max_iter):
                                              "the support matches the moment targets")
     if rounded is not None:
         return result(*rounded)
-    raise MaxEntError(f"Newton did not reach gradient norm {tol} in {max_iter} iterations")
+    raise MaxEntError(f"Newton did not reach gradient norm {_NEWTON_TOL} in "
+                      f"{_NEWTON_MAX_ITER} iterations")
 
 
 def _feasible_entropy(family, mu_g, q, mom, step, negligible):
@@ -223,48 +226,46 @@ def _feasible_entropy(family, mu_g, q, mom, step, negligible):
     return -float(np.vdot(q, np.log(u, out=u))), res
 
 
-def _certify(constraints, family, start, bound):
+def _certify(family, targets, start, ceiling, slack):
     """Multipliers of a Newton iterate from ``start`` (original features)
-    at which the rung of ``constraints``, solved on ``family``, provably
-    has a BIC above ``bound``, or ``None`` when no iterate proves it.
+    at which the dual of the moment ``targets`` on ``family`` provably has
+    no value at or below ``ceiling`` that a solve can return, or ``None``
+    when no iterate proves it.
 
     On the solver grid, with grid weights ``w`` and whitened features
-    ``psi``, the BIC of a solve is ``2 n D(lam) + k log n``, where
-    ``D(lam) = lam . mu + log sum w exp(-lam . psi)`` is the dual at the
-    multipliers it returns.  For any probabilities ``q`` on the grid,
-    Jensen's inequality gives ``D(lam) >= H(q) + lam . (mu - E_q psi)``
-    with ``H(q) = -sum q log(q / w)`` (weak duality; Boyd & Vandenberghe,
-    *Convex Optimization*, 5.2), and :func:`_newton` returns no whitened
-    multipliers of norm above ``_MAX_MULTIPLIER``.  So every BIC a solve
-    can report is at least ``2 n (H(q) - _MAX_MULTIPLIER |mu - E_q psi|)
-    + k log n``.  At each iterate ``q`` is its grid probabilities tilted
-    toward the targets (:func:`_feasible_entropy`), formed in their
-    buffer; near the optimum the bound is ``D`` less about half the
-    Newton decrement.
+    ``psi``, the dual is ``D(lam) = lam . mu + log sum w exp(-lam . psi)``.
+    For any probabilities ``q`` on the grid, Jensen's inequality gives
+    ``D(lam) >= H(q) + lam . (mu - E_q psi)`` with ``H(q) = -sum q log(q /
+    w)`` (weak duality; Boyd & Vandenberghe, *Convex Optimization*, 5.2),
+    and :func:`_newton` returns no whitened multipliers of norm above
+    ``_MAX_MULTIPLIER``.  So every dual value a solve can return is at
+    least ``H(q) - _MAX_MULTIPLIER |mu - E_q psi|``.  At each iterate
+    ``q`` is its grid probabilities tilted toward the targets
+    (:func:`_feasible_entropy`, which stops once the distance is below
+    ``slack / _MAX_MULTIPLIER``), formed in their buffer; near the
+    optimum the bound is ``D`` less about half the Newton decrement.
 
-    The iteration gives up as soon as ``2 n D + k log n`` at an iterate
-    is at most ``bound``, since past there the rung may win; also when
+    The iteration gives up as soon as ``D`` at an iterate is at most
+    ``ceiling``, since past there the solve may return less; also when
     the gradient meets the Newton tolerance or a step fails.  The steps
     are those of :func:`_newton` (:func:`_descent`, :func:`_line_search`).
     """
-    n = constraints.sample_size
-    penalty = len(constraints.exponents) * math.log(n)
-    negligible = 0.01 / (2.0 * n * _MAX_MULTIPLIER)  # a hundredth of a BIC unit
+    negligible = slack / _MAX_MULTIPLIER
     r, scale = family.r, family.scale
-    mu_g = _solve_upper(r, constraints.targets / scale - family.center, trans=1)
+    mu_g = _solve_upper(r, targets / scale - family.center, trans=1)
     lam = r @ (start * scale)
     mstar, qw = _weighted_exp(family.whitened_log_q(lam), family.weights)
     z = float(np.sum(qw))
     try:
         for _ in range(_NEWTON_MAX_ITER):
             obj = float(lam @ mu_g + mstar + math.log(z))
-            if 2.0 * n * obj + penalty <= bound:
+            if obj <= ceiling:
                 return None
             mom, hess = family.moments(np.divide(qw, z, out=qw))
             grad = mu_g - mom
             step, slope = _descent(hess, grad)
             entropy, res = _feasible_entropy(family, mu_g, qw, mom, step, negligible)
-            if 2.0 * n * (entropy - _MAX_MULTIPLIER * res) + penalty > bound:
+            if entropy - _MAX_MULTIPLIER * res > ceiling:
                 return _solve_upper(r, lam, trans=0) / scale
             if _norm(grad) <= _NEWTON_TOL:
                 return None

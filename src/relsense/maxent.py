@@ -50,9 +50,9 @@ copula is integrated at the solver's own grid values
 (:meth:`MaxEntCopula.grid_pdf`).  The drift check builds neither a
 family nor an array over its grid: :func:`_drift_log_partition` sums
 ``log Z`` over panels of ``_DRIFT_PANEL`` rows, each formed from the
-axis powers (held once per exponent set) and the axis weights.  On the
-solver grid the log density is formed in one buffer that is then turned
-in place into the weighted exponentials; the Newton loop of
+axis powers (formed at each check) and the axis weights.  On the solver
+grid the log density is formed in one buffer that is then turned in
+place into the weighted exponentials; the Newton loop of
 :mod:`relsense._dual` forms every line-search candidate in that buffer
 and carries the accepted one to the next iterate.  Its linear algebra is
 numpy alone, so a fit loads no scipy.  The whitening QR
@@ -68,22 +68,25 @@ definiteness and one general solve gives the step.
 each fit from a short built-in ladder (:data:`MARGINAL_LADDER`,
 :data:`COPULA_LADDER`) by the Bayesian information criterion.  An
 explicit exponent set is a ladder of one rung, judged by the same
-resolution rule.  A copula is fitted only by :func:`fit_copula`;
-:func:`solve_maxent` solves 1-D constraints alone.
+resolution rule.  Both are one call of :func:`_select`, which builds
+each rung's family once and alone forms the BIC.  A copula is fitted
+only by :func:`fit_copula`; :func:`solve_maxent` solves 1-D constraints
+alone.
 
 A rung that provably loses is not solved.  Once a ranked fit exists, a
 rung whose features hold those of the rung before it is first certified
 (:func:`relsense._dual._certify`).  Newton iterates start from the
 earlier rung's multipliers, with zeros on the new features, and share
 their step with the solver.  At each iterate the grid density is tilted
-toward the rung's moment targets.  Its entropy, less a
-charge for the targets it still misses, bounds from below the dual at any multipliers a solve can
-return (weak duality), and so the BIC the rung would report.  When that
-bound exceeds the best ranked BIC by more than one, the rung is
-skipped: it could never be chosen, and nothing else is read from it.
-Otherwise the rung is solved from zero, as every rung was before.  So
-each fit, chosen rung and warning is the one that solving every rung
-gives, bit for bit.
+toward the rung's moment targets.  Its entropy, less a charge for the
+targets it still misses, bounds from below the dual at any multipliers
+a solve can return (weak duality), and so the BIC the rung would
+report.  :func:`_select` states the BIC it must beat as a ceiling on
+that dual.  When the bound exceeds the best ranked BIC by more than
+one, the rung is skipped: it could never be chosen, and nothing else is
+read from it.  Otherwise the rung is solved from zero, as every rung
+was before.  So each fit, chosen rung and warning is the one that
+solving every rung gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -96,8 +99,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._dual import (
-    _NEWTON_MAX_ITER,
-    _NEWTON_TOL,
     InfeasibleConstraintsError,
     MaxEntError,
     _certify,
@@ -739,27 +740,17 @@ def _copula_family(exponents):
     return _whiten(exponents, *_unit_axis(_COPULA_AXIS), _solver_weights())
 
 
-@functools.lru_cache(maxsize=8)
-def _drift_powers(exponents):
-    """The axis powers of a copula family on the drift axis, rows in the
-    order of :func:`_axis_exponents`; read-only, once per exponent set."""
-    u, _ = _unit_axis(_DRIFT_AXIS)
-    powers = np.vstack([u ** e for e in _axis_exponents(exponents)[0]])
-    powers.setflags(write=False)
-    return powers
-
-
 def _drift_log_partition(exponents, coef):
     """``log Z`` on the drift grid of a copula with power coefficients
     ``coef`` (:meth:`_TensorFamily.power_coef`), summed over panels of
     ``_DRIFT_PANEL`` rows of ``u``.
 
-    Each panel's log density is formed from the axis powers in one
-    buffer and shifted by the largest value seen so far; the running sum
-    is rescaled whenever a panel raises it.  No array over the whole grid
-    is built."""
-    _, wu = _unit_axis(_DRIFT_AXIS)
-    powers = _drift_powers(exponents)
+    Each panel's log density is formed in one buffer from the axis
+    powers, formed at each call, and shifted by the largest value seen so
+    far; the running sum is rescaled whenever a panel raises it.  No
+    array over the whole grid is built."""
+    u, wu = _unit_axis(_DRIFT_AXIS)
+    powers = np.vstack([u ** e for e in _axis_exponents(exponents)[0]])
     left = powers.T @ -coef
     buf = np.empty((_DRIFT_PANEL, wu.size))
     m, total = -math.inf, 0.0
@@ -776,18 +767,23 @@ def _drift_log_partition(exponents, coef):
     return float(m + math.log(total))
 
 
-def _solve_copula(constraints):
-    """Fitted copula and the drift of its ``log Z`` from the solver grid to
-    the finer drift grid.
-
-    This is the one copula solve: :func:`fit_copula` calls it on each
-    rung, and :func:`_select` judges the drift times the sample size."""
-    exps = _copula_key(constraints.exponents)
-    family = _copula_family(exps)
-    lam, log_z, _ = _newton(constraints.targets, family, _NEWTON_TOL, _NEWTON_MAX_ITER)
-    drift = abs(_drift_log_partition(exps, family.power_coef(lam)) - log_z)
+def _solve_copula(constraints, family):
+    """Fitted copula of ``constraints`` on its ``family``, and the
+    quadrature error of its log-likelihood: the sample size times the
+    drift of ``log Z`` from the solver grid to the finer drift grid."""
+    lam, log_z, _ = _newton(constraints.targets, family)
+    drift = _drift_log_partition(_copula_key(constraints.exponents), family.power_coef(lam))
     return MaxEntCopula(exponents=constraints.exponents, multipliers=lam,
-                        log_normalizer=-log_z), drift
+                        log_normalizer=-log_z), constraints.sample_size * abs(drift - log_z)
+
+
+def _solve_density(constraints, family):
+    """Fitted 1-D density of ``constraints`` on its ``family``, and a
+    quadrature error of 0: the 1-D twin of :func:`_solve_copula`."""
+    lam, log_z, _ = _newton(constraints.targets, family)
+    return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
+                         log_normalizer=-log_z, support_shifted=constraints.support,
+                         shift=constraints.shift), 0.0
 
 
 def solve_maxent(constraints: MomentConstraints) -> MaxEntDensity:
@@ -802,21 +798,7 @@ def solve_maxent(constraints: MomentConstraints) -> MaxEntDensity:
     if constraints.ndim != 1:
         raise ValueError("solve_maxent fits 1-D constraints only; fit a copula "
                          "with fit_copula")
-    lam, log_z, _ = _newton(constraints.targets, _density_family(constraints),
-                            _NEWTON_TOL, _NEWTON_MAX_ITER)
-    return MaxEntDensity(exponents=constraints.exponents, multipliers=lam,
-                         log_normalizer=-log_z,
-                         support_shifted=constraints.support, shift=constraints.shift)
-
-
-def _bic(constraints: MomentConstraints, fitted) -> float:
-    """BIC of a fit.  The targets are sample means of the features, so the
-    log-likelihood of the sample is exactly ``n * (log c - lam . targets)``
-    and costs nothing extra: the BIC is ``2 n D(lam) + k log n`` with
-    ``D`` the dual objective at the fitted multipliers."""
-    n = constraints.sample_size
-    loglik = n * (fitted.log_normalizer - float(fitted.multipliers @ constraints.targets))
-    return -2.0 * loglik + len(constraints.exponents) * math.log(n)
+    return _solve_density(constraints, _density_family(constraints))[0]
 
 
 def _family(constraints):
@@ -843,52 +825,63 @@ def _nested_start(last, constraints):
     return start
 
 
-def _select(ladder, rung, fit):
+def _select(ladder, moments, sample_size, solve):
     """Smallest-BIC fit over a ladder of exponent sets.
 
-    ``rung(exps)`` returns the constraints of one set, and
-    ``fit(constraints)`` solves them and returns ``(estimate, bic,
+    Each set's constraints, ``moments(exps)`` with ``sample_size`` as
+    their ``n`` (:func:`_sized`), and its family (:func:`_family`) are
+    built once; ``solve(constraints, family)`` returns ``(estimate,
     error)``, ``error`` bounding the quadrature error of the
-    log-likelihood in nats; either raises :class:`MaxEntError` when the
-    set has no resolvable optimum.  Such a set leaves the race, and when
-    every set fails the errors are raised together.  A fit whose error
-    exceeds one nat, a fraction of the BIC charge of one parameter, cannot
-    be ranked, so it competes only when no other fit exists; then the
-    least-error fit is returned with a warning.
+    log-likelihood in nats.  A set that raises :class:`MaxEntError` has no
+    resolvable optimum and leaves the race; when every set fails the
+    errors are raised together.  The targets are sample means of the
+    features, so the BIC is exactly ``2 n D(lam) + k log n``, ``D`` the
+    dual at the fitted multipliers.  A fit whose error exceeds one nat, a
+    fraction of the BIC charge of one parameter, cannot be ranked, so it
+    competes only when no other fit exists; then the least-error fit is
+    returned with a warning.
 
     Once a ranked fit exists, a set that holds every feature of the set
     before it (on the same shift) is certified before it is solved:
     :func:`relsense._dual._certify` runs Newton iterates from the
     multipliers of that set, with zeros on the new features, and the set
-    is skipped when its BIC provably exceeds the smallest ranked BIC by
-    more than one.  A skipped set could never be chosen, and nothing else
-    is read from it, so the chosen fit, every estimate and every warning
-    are those of solving every set; a set the certificate cannot rule out
-    is solved from zero, as every set was.  The next set starts from the
+    is skipped when its dual provably exceeds ``ceiling``, the dual at a
+    BIC of the smallest ranked BIC plus one, ``(best + 1 - k log n) / (2
+    n)``; ``slack``, a hundredth of a BIC unit, is ``0.005 / n``.  A
+    skipped set could never be chosen, and nothing else is read from it,
+    so the chosen fit, every estimate and every warning are those of
+    solving every set; a set the certificate cannot rule out is solved
+    from zero, as every set was.  The next set starts from the
     multipliers of the last set reached, solved or certified.  On today's
     ladders this covers the copula set (1, ..., 6) after (1, ..., 4), and
     the marginal sets (1, 2, 3, 4) after (1, 2) and (1, ..., 6) after
     (1, 2, 3, 4).
     """
-    fits, errors = [], []
+    fits, errors = [], []  # (estimate, BIC, error) of each set solved
     best, last = math.inf, None  # smallest ranked BIC; the last set reached
     for exps in ladder:
         try:
-            cons = rung(exps)
+            cons = _sized(moments(exps), sample_size)
+            family = _family(cons)
+            n = cons.sample_size
+            penalty = len(cons.exponents) * math.log(n)
             start = None if best == math.inf else _nested_start(last, cons)
-            lam = None if start is None else _certify(cons, _family(cons), start, best + 1.0)
+            lam = None if start is None else _certify(
+                family, cons.targets, start, (best + 1.0 - penalty) / (2.0 * n), 0.005 / n)
             if lam is not None:
                 last = cons, lam
                 continue
-            fitted = fit(cons)
+            fitted, error = solve(cons, family)
         except MaxEntError as exc:
             errors.append(f"{exps}: {exc}")
             last = None
             continue
-        fits.append(fitted)
-        last = cons, fitted[0].multipliers
-        if fitted[2] <= 1.0:
-            best = min(best, fitted[1])
+        loglik = n * (fitted.log_normalizer - float(fitted.multipliers @ cons.targets))
+        bic = -2.0 * loglik + penalty
+        fits.append((fitted, bic, error))
+        last = cons, fitted.multipliers
+        if error <= 1.0:
+            best = min(best, bic)
     if not fits:
         raise MaxEntError("no exponent set of the ladder could be fitted: "
                           + "; ".join(errors))
@@ -925,14 +918,9 @@ def fit_density(sample, exponents=None, sample_size=None) -> MaxEntDensity:
     seeds are fewer units than rows, and counting each row charges too
     little per feature, so a rich rung can win by fitting the clumps.
     """
-    def rung(exps):
-        return _sized(fractional_moments_1d(sample, exps), sample_size)
-
-    def fit(cons):
-        density = solve_maxent(cons)
-        return density, _bic(cons, density), 0.0
-
-    return _select(MARGINAL_LADDER if exponents is None else (exponents,), rung, fit)
+    return _select(MARGINAL_LADDER if exponents is None else (exponents,),
+                   functools.partial(fractional_moments_1d, sample), sample_size,
+                   _solve_density)
 
 
 def fit_copula(sample_xy, exponents=None, sample_size=None) -> MaxEntCopula:
@@ -946,11 +934,6 @@ def fit_copula(sample_xy, exponents=None, sample_size=None) -> MaxEntCopula:
     :func:`fit_density`; the quadrature error is judged as ``n`` times the
     drift of ``log Z``.
     """
-    def rung(exps):
-        return _sized(copula_fractional_moments(sample_xy, exps), sample_size)
-
-    def fit(cons):
-        copula, drift = _solve_copula(cons)
-        return copula, _bic(cons, copula), cons.sample_size * drift
-
-    return _select(COPULA_LADDER if exponents is None else (exponents,), rung, fit)
+    return _select(COPULA_LADDER if exponents is None else (exponents,),
+                   functools.partial(copula_fractional_moments, sample_xy), sample_size,
+                   _solve_copula)

@@ -23,6 +23,7 @@ from relsense.maxent import (
     DEFAULT_EXPONENTS,
     MaxEntDensity,
     MomentConstraints,
+    _family,
     _solve_copula,
     _solver_weights,
     _unit_axis,
@@ -39,8 +40,9 @@ def unit_copula():
     """Copula identically one, solved from exact independence moments."""
     pairs = tuple((r, s) for r in DEFAULT_EXPONENTS for s in DEFAULT_EXPONENTS)
     targets = [1.0 / ((1.0 + r) * (1.0 + s)) for r, s in pairs]
-    return _solve_copula(MomentConstraints(ndim=2, exponents=pairs, targets=targets,
-                                           support=((0.0, 1.0), (0.0, 1.0))))[0]
+    c = MomentConstraints(ndim=2, exponents=pairs, targets=targets,
+                          support=((0.0, 1.0), (0.0, 1.0)))
+    return _solve_copula(c, _family(c))[0]
 
 
 def flat_density(lo, hi):
@@ -269,7 +271,8 @@ class TestCsiszarGeneralization:
                                      marginal_exponents=DEFAULT_EXPONENTS,
                                      copula_exponents=DEFAULT_EXPONENTS)
         density = solve_maxent(fractional_moments_1d(xy[:, 0], DEFAULT_EXPONENTS))
-        copula = _solve_copula(copula_fractional_moments(xy, DEFAULT_EXPONENTS))[0]
+        c = copula_fractional_moments(xy, DEFAULT_EXPONENTS)
+        copula = _solve_copula(c, _family(c))[0]
         assert eta == target_tv_index(density, marginal)
         assert delta == delta_index(copula)
 

@@ -20,12 +20,13 @@ from relsense.maxent import (
     InfeasibleConstraintsError,
     MaxEntError,
     MomentConstraints,
-    _bic,
     _copula_family,
+    _family,
     _householder_qr,
     _log_partition,
     _newton,
     _solve_copula,
+    _solve_density,
     _unit_axis,
     copula_fractional_moments,
     fit_copula,
@@ -72,10 +73,14 @@ def copula_integral(copula, fn, n=96):
 def dual_value(c, lam):
     """The convex dual ``<lam, mu> + log Z(lam)`` of constraints ``c``,
     formed from the family its solve runs on."""
-    family = (maxent._density_family(c) if c.ndim == 1
-              else _copula_family(maxent._copula_key(c.exponents)))
     lam = np.asarray(lam, dtype=float)
-    return float(lam @ c.targets + family.log_partition(lam))
+    return float(lam @ c.targets + _family(c).log_partition(lam))
+
+
+def bic(c, fitted):
+    """BIC of a fit of ``c``: ``2 n D + k log n``, ``D`` its dual value."""
+    n = c.sample_size
+    return 2.0 * n * dual_value(c, fitted.multipliers) + len(c.exponents) * math.log(n)
 
 
 def toy1_pair(which, n=3000, seed=2025):
@@ -288,7 +293,7 @@ class TestSolveCopula:
         targets = [1.0 / ((1.0 + r) * (1.0 + s)) for r, s in pairs]
         c = MomentConstraints(ndim=2, exponents=pairs, targets=targets,
                               support=((0.0, 1.0), (0.0, 1.0)))
-        copula = _solve_copula(c)[0]
+        copula = _solve_copula(c, _family(c))[0]
         grid = np.linspace(0.05, 0.95, 10)
         uv = np.column_stack([g.ravel() for g in np.meshgrid(grid, grid)])
         np.testing.assert_allclose(copula.pdf(uv), 1.0, atol=1e-6)
@@ -305,7 +310,7 @@ class TestSolveCopula:
             keep = [j for j, (r, s) in enumerate(full.exponents) if r > 0.0 and s > 0.0]
             c = MomentConstraints(ndim=2, exponents=tuple(full.exponents[j] for j in keep),
                                   targets=full.targets[keep], support=full.support)
-            copula = _solve_copula(c)[0]
+            copula = _solve_copula(c, _family(c))[0]
         else:
             c = copula_fractional_moments(xy, family)
             copula = fit_copula(xy, family)
@@ -354,7 +359,7 @@ class TestSolveCopula:
         c = MomentConstraints(ndim=2, exponents=exponents, targets=targets,
                               support=((0.0, 1.0), (0.0, 1.0)))
         with pytest.raises(InfeasibleConstraintsError, match="no density on the support"):
-            _solve_copula(c)
+            _solve_copula(c, _family(c))
 
     @pytest.mark.parametrize("exponents", [((1.0, 1.0), (0.5, 1.0), (1.0, 1.0)),
                                            ((0.0, 0.0), (1.0, 1.0)),
@@ -366,7 +371,7 @@ class TestSolveCopula:
                               targets=[0.25] * len(exponents),
                               support=((0.0, 1.0), (0.0, 1.0)))
         with pytest.raises(MaxEntError, match="linearly dependent"):
-            _solve_copula(c)
+            _solve_copula(c, _family(c))
 
     def test_off_square_density_is_zero(self):
         rng = np.random.default_rng(15)
@@ -393,7 +398,8 @@ class TestExponentLadder:
         rng = np.random.default_rng(21)
         xy = rng.standard_normal((800, 2))
         pinned = fit_copula(xy, (0.5, 1.0))
-        direct = _solve_copula(copula_fractional_moments(xy, (0.5, 1.0)))[0]
+        c = copula_fractional_moments(xy, (0.5, 1.0))
+        direct = _solve_copula(c, _family(c))[0]
         assert pinned.exponents == direct.exponents
         np.testing.assert_array_equal(pinned.multipliers, direct.multipliers)
         assert pinned.log_normalizer == direct.log_normalizer
@@ -492,14 +498,14 @@ def solve_every_rung(x, y=None, sample_size=None):
     for exps in MARGINAL_LADDER if y is None else COPULA_LADDER:
         if y is None:
             c = maxent._sized(fractional_moments_1d(x, exps), sample_size)
-            fitted, error = solve_maxent(c), 0.0
+            solve = _solve_density
         else:
             c = maxent._sized(copula_fractional_moments(np.column_stack([x, y]), exps),
                               sample_size)
-            fitted, drift = _solve_copula(c)
-            error = c.sample_size * drift
+            solve = _solve_copula
+        fitted, error = solve(c, _family(c))
         if error <= 1.0:
-            ranked.append((_bic(c, fitted), fitted))
+            ranked.append((bic(c, fitted), fitted))
     return min(ranked, key=lambda f: f[0])[1]
 
 
@@ -548,9 +554,9 @@ class TestNestedCertificate:
         solves = []
         newton = maxent._newton
 
-        def counting(targets, family, tol, max_iter):
+        def counting(targets, family):
             solves.append(len(targets))
-            return newton(targets, family, tol, max_iter)
+            return newton(targets, family)
 
         monkeypatch.setattr(maxent, "_newton", counting)
         run = small_toy1_run
@@ -560,6 +566,22 @@ class TestNestedCertificate:
         solves.clear()
         fit_density(x, sample_size=run.n_survivors)
         assert solves == [3, 2]  # so are (1, 2, 3, 4) and (1, ..., 6)
+
+    def test_each_rung_builds_its_family_once(self, monkeypatch):
+        # the chi2 marginal reaches all four rungs; the certificates of
+        # (1, 2, 3, 4) and (1, ..., 6) give up, and the cold solves run on
+        # the families the certificates were given: 4 builds, not 6
+        builds = []
+        build = maxent._density_family
+
+        def counting(constraints):
+            builds.append(constraints.exponents)
+            return build(constraints)
+
+        monkeypatch.setattr(maxent, "_density_family", counting)
+        density = fit_density(chi2_criterion_x2(0))
+        assert density.exponents == MARGINAL_LADDER[3]
+        assert builds == list(MARGINAL_LADDER)
 
     def test_the_choice_is_that_of_solving_every_rung(self, ladder_sample):
         x, y, n, marginal, features = ladder_sample
@@ -572,9 +594,10 @@ class TestNestedCertificate:
             assert_same_fit(copula, solve_every_rung(x, y, n))
 
     def test_the_bound_stays_below_the_cold_bic(self, ladder_sample, monkeypatch):
-        # certified against the rung's own cold BIC, no iterate may prove
-        # more: the certificate runs until it gives up, and the bound it
-        # read at every iterate stays at or below that BIC
+        # certified against the rung's own cold dual value, the BIC in the
+        # certificate's units, no iterate may prove more: the certificate
+        # runs until it gives up, and the bound it read at every iterate
+        # stays at or below that value
         x, y, n, _, _ = ladder_sample
         bounds = []
         feasible_entropy = _dual._feasible_entropy
@@ -590,23 +613,22 @@ class TestNestedCertificate:
             for prev, exps in nested_rungs(ladder):
                 if ladder is MARGINAL_LADDER:
                     rung = [maxent._sized(fractional_moments_1d(x, e), n) for e in (prev, exps)]
-                    fits = [solve_maxent(c) for c in rung]
+                    solve = _solve_density
                 else:
                     xy = np.column_stack([x, y])
                     rung = [maxent._sized(copula_fractional_moments(xy, e), n)
                             for e in (prev, exps)]
-                    fits = [_solve_copula(c)[0] for c in rung]
-                cold = _bic(rung[1], fits[1])
+                    solve = _solve_copula
+                fits = [solve(c, _family(c))[0] for c in rung]
+                cold = dual_value(rung[1], fits[1].multipliers)
                 bounds.clear()
                 start = maxent._nested_start((rung[0], fits[0].multipliers), rung[1])
-                family = maxent._family(rung[1])
-                assert _dual._certify(rung[1], family, start, cold) is None, exps
+                slack = 0.005 / rung[1].sample_size
+                assert _dual._certify(_family(rung[1]), rung[1].targets, start, cold,
+                                      slack) is None, exps
                 assert bounds, exps
-                size = rung[1].sample_size
-                penalty = len(rung[1].exponents) * math.log(size)
                 for entropy, res in bounds:
-                    lower = 2.0 * size * (entropy - _dual._MAX_MULTIPLIER * res) + penalty
-                    assert lower <= cold, exps
+                    assert entropy - _dual._MAX_MULTIPLIER * res <= cold, exps
                 checked += 1
         assert checked == (3 if y is not None else 2)
 
@@ -655,15 +677,14 @@ class TestSolverPinned:
     def test_ladder_rungs_match_the_dense_solver(self, which):
         xy = toy1_pair(which)
         rungs, winner = DENSE_SOLVER_RUNGS[which]
-        for exps, (delta, log_c, bic), steps in zip(COPULA_LADDER, rungs,
+        for exps, (delta, log_c, want_bic), steps in zip(COPULA_LADDER, rungs,
                                                      NEWTON_STEPS[which]):
             c = copula_fractional_moments(xy, exps)
             copula = fit_copula(xy, exps)
             assert delta_index(copula) == pytest.approx(delta, abs=1e-8), exps
             assert copula.log_normalizer == pytest.approx(log_c, abs=1e-5), exps
-            assert _bic(c, copula) == pytest.approx(bic, abs=1e-3), exps
-            family = _copula_family(maxent._copula_key(c.exponents))
-            assert _newton(c.targets, family, 1e-6, 200)[2] == steps, exps
+            assert bic(c, copula) == pytest.approx(want_bic, abs=1e-3), exps
+            assert _newton(c.targets, _family(c))[2] == steps, exps
         assert len(fit_copula(xy).exponents) == winner
 
 
@@ -849,7 +870,12 @@ class _FakeFamily:
 
 class TestNewtonRidge:
     """The ridge that :func:`_newton` adds when the dual Hessian has no
-    Cholesky factor."""
+    Cholesky factor, solved to a gradient norm of 1e-9 in at most 50 steps."""
+
+    @pytest.fixture(autouse=True)
+    def _limits(self, monkeypatch):
+        monkeypatch.setattr(_dual, "_NEWTON_TOL", 1e-9)
+        monkeypatch.setattr(_dual, "_NEWTON_MAX_ITER", 50)
 
     def _family(self, hessian=None):
         # the second feature is zero on the grid, so the Hessian is PSD of rank 1
@@ -871,7 +897,7 @@ class TestNewtonRidge:
 
         monkeypatch.setattr(_dual, "cholesky", recording)
         family = self._family()
-        lam, log_z, _ = _newton(np.array([0.3, 0.0]), family, 1e-9, 50)
+        lam, log_z, _ = _newton(np.array([0.3, 0.0]), family)
         # the plain factorization fails on the zero pivot; a ridged one succeeds
         first, factorized = attempts[0]
         assert not factorized and first[1, 1] == 0.0
@@ -891,7 +917,7 @@ class TestNewtonRidge:
     ], ids=["indefinite", "nan"])
     def test_unusable_hessian_is_numerically_singular(self, hessian, message):
         with pytest.raises(MaxEntError, match=message):
-            _newton(np.array([0.3, 0.0]), self._family(hessian), 1e-9, 50)
+            _newton(np.array([0.3, 0.0]), self._family(hessian))
 
 
 # the criterion-2 campaign of the acceptance gate (seed 42)
@@ -920,13 +946,13 @@ def assert_converged_to_tol(sample):
     features and on the whitened gradient."""
     c = fractional_moments_1d(sample, MARGINAL_LADDER[-1])
     family = maxent._density_family(c)
-    lam, log_z, _ = _newton(c.targets, family, maxent._NEWTON_TOL, maxent._NEWTON_MAX_ITER)
+    lam, log_z, _ = _newton(c.targets, family)
     p = family.weights * np.exp(-(lam @ family.feats) - log_z)
     assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
     grad_s = c.targets / family.scale - (family.feats / family.scale[:, None]) @ p
     grad = np.linalg.solve(family.r.T, grad_s)
-    assert np.linalg.norm(grad_s) <= maxent._NEWTON_TOL
-    assert np.linalg.norm(grad) <= maxent._NEWTON_TOL
+    assert np.linalg.norm(grad_s) <= _dual._NEWTON_TOL
+    assert np.linalg.norm(grad) <= _dual._NEWTON_TOL
 
 
 class TestNewtonRoundingExit:
