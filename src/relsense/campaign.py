@@ -37,13 +37,6 @@ the defaults shown)::
                                                    # one latent sd, step_sds is optional
         "max_levels": 100                          # optional
       },
-      "density": {                                 # optional
-        "marginal_exponents": [0.5, 1.0, 1.5],     # default: chosen per fit
-        "copula_exponents":   [0.5, 1.0, 1.5]      #   by BIC from a ladder
-      },
-      "indices": {                                 # optional
-        "divergence": "total_variation"            # or "kullback_leibler"
-      },
       "replications": 100,
       "seed": 0
     }
@@ -94,12 +87,6 @@ __all__ = [
 FAMILY_ORDER = ("delta_f", "eta_bar", "eta", "sobol_indicator")
 
 
-_DIVERGENCES = {
-    "total_variation": DivergenceSpec.total_variation,
-    "kullback_leibler": DivergenceSpec.kullback_leibler,
-}
-
-
 class ConfigError(ValueError):
     """A config document failed validation; ``findings`` lists every problem."""
 
@@ -117,9 +104,10 @@ class CampaignConfig:
     """Validated campaign description.
 
     ``builtin`` and ``command`` are mutually exclusive; ``smc.seed`` is a
-    placeholder that gets replaced per replication.  Exponent sets of
-    ``None`` let every fit choose its own by BIC (see
-    :func:`~relsense.maxent.fit_density`).  ``raw`` keeps the source
+    placeholder that gets replaced per replication.  Nothing here picks
+    a fit or a divergence: every fit chooses its exponent set by BIC from
+    its ladder, and ``delta_f`` and ``eta_bar`` are total-variation
+    indices (see :func:`run_replication`).  ``raw`` keeps the source
     document, echoed into reports; nothing else reads it.
     :func:`parse_config` builds the config in one pass over that
     document; :func:`validate_config` runs the same pass and returns its
@@ -132,9 +120,6 @@ class CampaignConfig:
     input_names: tuple[str, ...]
     event: FailureEvent
     smc: SmcParams
-    marginal_exponents: tuple[float, ...] | None
-    copula_exponents: tuple[float, ...] | None
-    divergence: str
     replications: int
     master_seed: int
     raw: dict = field(repr=False, compare=False, default_factory=dict)
@@ -396,25 +381,6 @@ def _parse_smc(raw, findings):
         return None
 
 
-def _parse_exponents(sec, path, findings):
-    name = path.rsplit(".", 1)[-1]
-    if sec is None or name not in sec:
-        return None
-    entry = sec[name]
-    if (not isinstance(entry, list) or not entry
-            or not all(_is_number(v) for v in entry)):
-        findings.append(f"{path} must be a non-empty list of numbers")
-        return None
-    if not all(_finite(v) for v in entry):
-        findings.append(f"{path} must be finite, got {entry}")
-        return None
-    exps = tuple(float(v) for v in entry)
-    if any(e <= 0 for e in exps) or any(b <= a for a, b in zip(exps, exps[1:])):
-        findings.append(f"{path} must be strictly increasing and positive")
-        return None
-    return exps
-
-
 def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
     """One pass over a raw config document: ``(config, findings)``.
 
@@ -425,8 +391,7 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
     findings: list[str] = []
-    known = {"model", "inputs", "event", "smc", "density", "indices",
-             "replications", "seed"}
+    known = {"model", "inputs", "event", "smc", "replications", "seed"}
     for key in raw:
         if key not in known:
             findings.append(f"unknown top-level section {key!r}")
@@ -460,18 +425,6 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
 
     smc = _parse_smc(raw, findings)
 
-    dens = _get_section(raw, "density", findings, required=False)
-    _check_keys(dens or {}, "density", ("marginal_exponents", "copula_exponents"), findings)
-    marginal_exponents = _parse_exponents(dens, "density.marginal_exponents", findings)
-    copula_exponents = _parse_exponents(dens, "density.copula_exponents", findings)
-
-    idx = _get_section(raw, "indices", findings, required=False) or {}
-    _check_keys(idx, "indices", ("divergence",), findings)
-    divergence = idx.get("divergence", "total_variation")
-    if not isinstance(divergence, str) or divergence not in _DIVERGENCES:
-        findings.append(f"indices.divergence must be one of "
-                        f"{', '.join(_DIVERGENCES)}, got {divergence!r}")
-
     replications = _get_number(raw, "replications", findings, integer=True, minimum=1)
     seed = _get_number(raw, "seed", findings, required=False, default=0,
                        integer=True, minimum=0, maximum=2**64 - 1)
@@ -484,9 +437,6 @@ def _parse(raw) -> tuple[CampaignConfig | None, list[str]]:
         input_names=names or tuple(f"X{i + 1}" for i in range(input_model.dimension)),
         event=event,
         smc=smc,
-        marginal_exponents=marginal_exponents,
-        copula_exponents=copula_exponents,
-        divergence=divergence,
         replications=replications,
         master_seed=seed,
         raw=raw,
@@ -550,7 +500,9 @@ def run_replication(config: CampaignConfig, rep: int,
 
     The record maps each family in :data:`FAMILY_ORDER` to a
     ``(values, clip_flags)`` pair plus scalars describing the splitting
-    run (``p_f_hat``, level count, call split, acceptance rates).  Without
+    run (``p_f_hat``, level count, call split, acceptance rates).  Each
+    input's marginal and copula are chosen by BIC from their ladders,
+    with the final survivors as BIC's sample size.  Without
     a ``box`` it opens the config's model and closes it on return; a box
     passed in stays open.
     """
@@ -562,23 +514,22 @@ def run_replication(config: CampaignConfig, rep: int,
     result = run_adaptive_smc(box, config.input_model, config.event, params)
     sample, outputs = result.conditioned_sample, result.conditioned_outputs
 
-    divergence = _DIVERGENCES[config.divergence]()
-    bounded = config.divergence == "total_variation"
+    # built per call, not at import: its generator check loads numpy.random
+    tv = DivergenceSpec.total_variation()
     d = config.dimension
     values = {fam: np.empty(d) for fam in FAMILY_ORDER}
     flags = {fam: np.zeros(d, dtype=bool) for fam in FAMILY_ORDER}
     for i in range(d):
         marginal = config.input_model.marginals[i]
         pair = np.column_stack([sample[:, i], outputs])
-        density = fit_density(sample[:, i], config.marginal_exponents,
-                              sample_size=result.n_survivors)
-        copula = fit_copula(pair, config.copula_exponents, sample_size=result.n_survivors)
+        density = fit_density(sample[:, i], sample_size=result.n_survivors)
+        copula = fit_copula(pair, sample_size=result.n_survivors)
 
-        delta_f = delta_index(copula, divergence)
-        eta_bar = csiszar_marginal_index(density, marginal, divergence)
+        delta_f = delta_index(copula, tv)
+        eta_bar = csiszar_marginal_index(density, marginal, tv)
         sobol = sobol_indicator_index(density, marginal, result.p_f_hat)
-        values["delta_f"][i], flags["delta_f"][i] = _clip(delta_f, bounded)
-        values["eta_bar"][i], flags["eta_bar"][i] = _clip(eta_bar, bounded)
+        values["delta_f"][i], flags["delta_f"][i] = _clip(delta_f)
+        values["eta_bar"][i], flags["eta_bar"][i] = _clip(eta_bar)
         values["eta"][i] = scaled_target_index(values["eta_bar"][i], result.p_f_hat)
         values["sobol_indicator"][i], flags["sobol_indicator"][i] = _clip(sobol)
 
@@ -595,10 +546,9 @@ def run_replication(config: CampaignConfig, rep: int,
     }
 
 
-def _clip(value: float, bounded: bool = True) -> tuple[float, bool]:
-    """Clip an estimate into [0, 1], or only floor it at zero when not
-    ``bounded``; the flag records that clipping fired."""
-    clipped = min(max(float(value), 0.0), 1.0 if bounded else math.inf)
+def _clip(value: float) -> tuple[float, bool]:
+    """Clip an estimate into [0, 1]; the flag records that clipping fired."""
+    clipped = min(max(float(value), 0.0), 1.0)
     return clipped, clipped != value
 
 
@@ -792,8 +742,7 @@ def _reference_table(config: CampaignConfig) -> dict[str, tuple[float, ...]] | N
         return None
     _, canon_inputs, canon_event = builtin_model(config.builtin)
     if (config.input_model != canon_inputs
-            or config.event.threshold != canon_event.threshold
-            or config.divergence != "total_variation"):
+            or config.event.threshold != canon_event.threshold):
         return None
     by_name = _REFERENCES[config.builtin]
     p_f = by_name["p_f"]
@@ -811,8 +760,8 @@ def run_campaign(config: CampaignConfig, jobs: int = 1) -> CampaignReport:
     """Run every replication and report their records.
 
     The report carries the tabulated reference values whenever the config
-    targets ``toy1`` or ``additive_chi2`` with its own inputs, threshold
-    and total-variation divergence; otherwise ``references`` is ``None``.
+    targets ``toy1`` or ``additive_chi2`` with its own inputs and
+    threshold; otherwise ``references`` is ``None``.
 
     ``jobs > 1`` hands each worker process the parsed ``config`` and a
     replication number.  The result is identical to the sequential one

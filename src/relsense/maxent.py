@@ -9,9 +9,9 @@ the strictly convex dual problem
 
 whose gradient is ``mu - E_f[phi]`` and whose Hessian is ``Cov_f(phi)``;
 a damped Newton iteration with backtracking line search drives the
-gradient norm below 1e-6 in at most 200 steps (``_NEWTON_TOL``,
-``_NEWTON_MAX_ITER``) in a centred, orthonormal (whitened) basis of the
-features, integrated by Gauss-Legendre quadrature.
+gradient norm below 1e-6 in at most 200 steps (``_NEWTON_TOL`` and
+``_NEWTON_MAX_ITER`` in :mod:`relsense._dual`) in a centred, orthonormal
+(whitened) basis of the features, integrated by Gauss-Legendre quadrature.
 
 Two families are provided: one-dimensional densities with power features
 ``x**beta`` on a data-driven support (used for failure-conditioned input

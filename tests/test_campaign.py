@@ -99,49 +99,18 @@ class TestValidation:
         assert config.builtin == "toy1"
         assert config.input_names == ("X1", "X2")
         assert config.event.threshold == 3.0
-        # unset exponent sets are chosen per fit by BIC
-        assert config.marginal_exponents is None
-        assert config.copula_exponents is None
-        assert config.divergence == "total_variation"
         assert isinstance(config.smc.kernel, CrankNicolsonKernel)
-
-    def test_kl_divergence_is_valid(self, small_toy1_config):
-        small_toy1_config["indices"] = {"divergence": "kullback_leibler"}
-        assert validate_config(small_toy1_config) == []
-        assert parse_config(small_toy1_config).divergence == "kullback_leibler"
-
-    def test_kl_with_quadrature_eta_rejected(self, small_toy1_config):
-        small_toy1_config["indices"] = {"divergence": "kullback_leibler",
-                                        "eta_method": "quadrature"}
-        assert validate_config(small_toy1_config) == ["unknown key 'eta_method' in indices"]
-
-    def test_retired_draw_count_is_a_finding(self, small_toy1_config):
-        small_toy1_config["indices"] = {"n_draws": 20000}
-        assert validate_config(small_toy1_config) == ["unknown key 'n_draws' in indices"]
-
-    def test_misspelled_index_key_is_a_finding(self, small_toy1_config):
-        # a typo must not silently fall back to total variation
-        small_toy1_config["indices"] = {"divergance": "kullback_leibler"}
-        assert validate_config(small_toy1_config) == ["unknown key 'divergance' in indices"]
-        # the support padding is retired: each marginal is fitted on the
-        # range of its conditioned sample
-        del small_toy1_config["indices"]
-        small_toy1_config["density"] = {"support_margin": 0.0}
-        assert validate_config(small_toy1_config) == [
-            "unknown key 'support_margin' in density"]
 
     @pytest.mark.parametrize("section, path", [
         (("model",), "model"),
         (("smc",), "smc"),
         (("smc", "kernel"), "smc.kernel"),
         (("event",), "event"),
-        (("density",), "density"),
         (("inputs",), "inputs"),
         (("inputs", "marginals", 1), "inputs.marginals[1]"),
     ])
     def test_unknown_key_in_a_section_is_a_finding(self, small_toy1_config, section, path):
         small_toy1_config["event"] = {"threshold": 3.0}
-        small_toy1_config["density"] = {"copula_exponents": [0.5, 1.0, 1.5]}
         small_toy1_config["inputs"] = {"marginals": [
             {"kind": "normal", "mean": 0.0, "sd": 1.0},
             {"kind": "normal", "mean": 0.0, "sd": 2.2360679774997896}]}
@@ -340,12 +309,6 @@ class TestValidation:
         set_path(raw, NUMBER_FIELDS[path], value)
         assert validate_config(raw) == [f"{path} must be finite, got {value}"]
 
-    def test_non_finite_exponent_is_a_finding(self, small_toy1_config):
-        for value in (math.inf, 10**400):
-            small_toy1_config["density"] = {"copula_exponents": [0.5, value]}
-            assert validate_config(small_toy1_config) == [
-                f"density.copula_exponents must be finite, got [0.5, {value}]"]
-
     @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
     def test_non_finite_covariance_is_a_finding(self, value):
         raw = table6_style_config(["/nonexistent/launcher-model"])
@@ -369,30 +332,13 @@ class TestValidation:
         from relsense import campaign
 
         calls = collections.Counter()
-        for name in ("_parse_model", "_parse_inputs", "_parse_smc", "_parse_exponents"):
+        for name in ("_parse_model", "_parse_inputs", "_parse_smc"):
             def counted(*args, _name=name, _parse=getattr(campaign, name)):
                 calls[_name] += 1
                 return _parse(*args)
             monkeypatch.setattr(campaign, name, counted)
         parse_config(small_toy1_config)
-        assert calls == {"_parse_model": 1, "_parse_inputs": 1, "_parse_smc": 1,
-                         "_parse_exponents": 2}
-
-    def test_exponent_lists_checked(self, small_toy1_config):
-        small_toy1_config["density"] = {"marginal_exponents": [1.5, 0.5]}
-        assert any("strictly increasing" in f
-                   for f in validate_config(small_toy1_config))
-        small_toy1_config["density"] = {"copula_exponents": "nope"}
-        assert any("non-empty list of numbers" in f
-                   for f in validate_config(small_toy1_config))
-
-    def test_custom_exponents_accepted(self, small_toy1_config):
-        small_toy1_config["density"] = {"marginal_exponents": [0.25, 0.75, 1.25],
-                                        "copula_exponents": [0.5, 1.0]}
-        assert validate_config(small_toy1_config) == []
-        config = parse_config(small_toy1_config)
-        assert config.marginal_exponents == (0.25, 0.75, 1.25)
-        assert config.copula_exponents == (0.5, 1.0)
+        assert calls == {"_parse_model": 1, "_parse_inputs": 1, "_parse_smc": 1}
 
     def test_seed_bounds(self, small_toy1_config):
         small_toy1_config["seed"] = -1
@@ -592,29 +538,10 @@ class TestRunCampaign:
         report = run_campaign(parse_config(small_toy1_config))
         assert report.references is None
 
-    def test_kullback_leibler_campaign(self, small_toy1_config):
-        # an unbounded divergence: no references, and eta_bar is only
-        # floored at zero, so X1's reads above 1 unclipped
-        small_toy1_config["indices"] = {"divergence": "kullback_leibler"}
-        report = run_campaign(parse_config(small_toy1_config))
-        assert report.references is None
-        for record in report.per_replication:
-            values, flags = record["families"]["eta_bar"]
-            assert values[0] > 1.0 and not flags[0]
-            sobol = record["families"]["sobol_indicator"][0]
-            assert np.all((sobol >= 0.0) & (sobol <= 1.0))
-            for fam in FAMILY_ORDER:
-                assert np.all(np.isfinite(record["families"][fam][0]))
-        assert report.estimates["eta_bar"][0] > 1.0 and not report.clipped["eta_bar"][0]
-        for fam in FAMILY_ORDER:
-            assert (np.all(np.isfinite(report.estimates[fam]))
-                    and np.all(np.isfinite(report.sds[fam])))
-
-    def test_kullback_leibler_campaign_at_seed_0_warns_nothing(self, small_toy1_config):
+    def test_campaign_at_seed_0_warns_nothing(self, small_toy1_config):
         # one of the 22 mutation phases of replication 1 reads an acceptance
         # rate of 0.410, 0.6 binomial standard errors of its 900 proposals
         # above the band edge 0.40: noise, not a badly tuned kernel
-        small_toy1_config["indices"] = {"divergence": "kullback_leibler"}
         small_toy1_config["seed"] = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -757,9 +684,6 @@ class TestReportFold:
         assert campaign._clip(1.0) == (1.0, False)
         assert campaign._clip(1.2) == (1.0, True)
         assert campaign._clip(-0.3) == (0.0, True)
-        # an unbounded generator is only floored at zero
-        assert campaign._clip(1.2, bounded=False) == (1.2, False)
-        assert campaign._clip(-0.3, bounded=False) == (0.0, True)
 
 
 class TestExternalCampaign:

@@ -16,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10 ships no TOML reader
     tomllib = pytest.importorskip("tomli")
 
 from relsense import cli
+from relsense.campaign import validate_config
 from relsense.cli import main
 
 
@@ -48,15 +49,36 @@ class TestValidate:
         assert "config error: smc.rho must lie in (0, 1), got 1.2" in err
         assert "config error: replications must be >= 1, got 0" in err
 
-    def test_retired_index_keys_exit_2(self, tmp_path, small_toy1_config, capsys):
-        small_toy1_config["indices"] = {"n_draws": 20000, "eta_method": "monte_carlo"}
+    # a campaign always fits by its BIC ladders and reports total-variation
+    # indices; pinned exponent sets and other divergences are library calls
+    @pytest.mark.parametrize("section, content", [
+        ("density", {"marginal_exponents": [0.25, 0.75, 1.25],
+                     "copula_exponents": [0.5, 1.0]}),
+        ("density", {"marginal_exponents": [1.5, 0.5]}),
+        ("density", {"copula_exponents": "nope"}),
+        ("density", {"copula_exponents": [0.5, math.inf]}),
+        ("density", {"copula_exponents": [0.5, 10**400]}),
+        ("density", {"support_margin": 0.0}),
+        ("density", {}),
+        ("indices", {"divergence": "total_variation"}),
+        ("indices", {"divergence": "kullback_leibler"}),
+        ("indices", {"divergence": "kullback_leibler", "eta_method": "quadrature"}),
+        ("indices", {"n_draws": 20000, "eta_method": "monte_carlo"}),
+        ("indices", {"divergance": "kullback_leibler"}),
+        ("indices", None),
+    ], ids=["density-pinned", "density-decreasing", "density-not_a_list",
+            "density-inf", "density-1e400", "density-support_margin", "density-empty",
+            "indices-total_variation", "indices-kullback_leibler", "indices-eta_method",
+            "indices-n_draws", "indices-divergance", "indices-null"])
+    def test_retired_section_is_one_finding(self, tmp_path, small_toy1_config,
+                                            capsys, section, content):
+        small_toy1_config[section] = content
+        finding = f"unknown top-level section {section!r}"
+        assert validate_config(small_toy1_config) == [finding]
         path = tmp_path / "retired.json"
         path.write_text(json.dumps(small_toy1_config))
         code, out, err = run_cli(["validate", "--config", str(path)], capsys)
-        assert code == 2
-        assert out == ""
-        assert "config error: unknown key 'n_draws' in indices" in err
-        assert "config error: unknown key 'eta_method' in indices" in err
+        assert (code, out, err) == (2, "", f"config error: {finding}\n")
 
     def test_ragged_covariance_exits_2(self, tmp_path, capsys):
         raw = {"model": {"command": ["ext"], "dimension": 2},

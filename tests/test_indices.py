@@ -285,6 +285,21 @@ class TestCsiszarGeneralization:
                                    xy, Marginal("normal", 5.0, 1.0))
         assert delta == pytest.approx(0.0, abs=0.02)
 
+    def test_kl_on_a_campaign_sample(self, small_toy1_run):
+        # a campaign reports total variation only; KL on its conditioned
+        # sample, through the campaign's ladder fits, is a library call
+        run, kl = small_toy1_run, DivergenceSpec.kullback_leibler()
+        x = run.conditioned_sample
+        marginal = builtin_model("toy1")[1].marginals[0]
+        density = fit_density(x[:, 0], sample_size=run.n_survivors)
+        # unbounded, unlike total variation: X1's index reads above 1
+        eta_bar = csiszar_marginal_index(density, marginal, kl)
+        assert math.isfinite(eta_bar) and eta_bar > 1.0
+        for i in range(2):
+            pair = np.column_stack([x[:, i], run.conditioned_outputs])
+            copula = fit_copula(pair, sample_size=run.n_survivors)
+            assert math.isfinite(delta_index(copula, kl))
+
     def test_diverging_generator_warns_and_returns_inf(self):
         def neg_log(x):
             x = np.asarray(x, dtype=float)
