@@ -121,6 +121,10 @@ class TestValidation:
         target["extra"] = 1
         assert validate_config(small_toy1_config) == [f"unknown key 'extra' in {path}"]
 
+    def test_retired_draw_count_is_a_finding(self, small_toy1_config):
+        small_toy1_config["indices"] = {"n_draws": 20000}
+        assert validate_config(small_toy1_config) == ["unknown top-level section 'indices'"]
+
     def test_all_findings_reported_at_once(self):
         raw = {
             "model": {"command": ["ext"], "dimension": 2},

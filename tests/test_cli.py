@@ -49,6 +49,15 @@ class TestValidate:
         assert "config error: smc.rho must lie in (0, 1), got 1.2" in err
         assert "config error: replications must be >= 1, got 0" in err
 
+    def test_retired_index_keys_exit_2(self, tmp_path, small_toy1_config, capsys):
+        small_toy1_config["indices"] = {"n_draws": 20000, "eta_method": "monte_carlo"}
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(small_toy1_config))
+        code, out, err = run_cli(["validate", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: unknown top-level section 'indices'\n"
+
     # a campaign always fits by its BIC ladders and reports total-variation
     # indices; pinned exponent sets and other divergences are library calls
     @pytest.mark.parametrize("section, content", [
@@ -63,13 +72,12 @@ class TestValidate:
         ("indices", {"divergence": "total_variation"}),
         ("indices", {"divergence": "kullback_leibler"}),
         ("indices", {"divergence": "kullback_leibler", "eta_method": "quadrature"}),
-        ("indices", {"n_draws": 20000, "eta_method": "monte_carlo"}),
         ("indices", {"divergance": "kullback_leibler"}),
         ("indices", None),
     ], ids=["density-pinned", "density-decreasing", "density-not_a_list",
             "density-inf", "density-1e400", "density-support_margin", "density-empty",
             "indices-total_variation", "indices-kullback_leibler", "indices-eta_method",
-            "indices-n_draws", "indices-divergance", "indices-null"])
+            "indices-divergance", "indices-null"])
     def test_retired_section_is_one_finding(self, tmp_path, small_toy1_config,
                                             capsys, section, content):
         small_toy1_config[section] = content
